@@ -59,7 +59,6 @@ from .basis import (
 from .fast import (
     CorrelationTensor,
     analyze,
-    fft,
     synthesize,
     to_coefficients,
     train_correlations,
@@ -113,7 +112,6 @@ __all__ = [
     "orthogonality_survey",
     "CorrelationTensor",
     "analyze",
-    "fft",
     "synthesize",
     "to_coefficients",
     "train_correlations",

@@ -209,7 +209,7 @@ def _bench_one(n: int, repeats: int = 5):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
 
-    analyze(v)  # warm the recipe and twiddle caches
+    analyze(v)  # warm the recipe and modulation caches
     t_analyze = min(
         _timed(lambda: analyze(v)) for _ in range(repeats)
     )

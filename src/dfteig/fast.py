@@ -1,30 +1,31 @@
-"""Subquadratic transforms: mixed-radix FFT and the fast change of basis.
+"""Fast change of basis: strided short DFTs, a closed-form recipe, a 4x4 combine.
 
 Correlating a vector against every train of one stride is the same as
 running short DFTs over the strided subsequences - the front part of a full
-FFT, stopped before the final recombination stages.  Two such passes (one
-per stride in the divisor pair) plus a linear-time phase combination yield
-the correlations against all 4n projected trains in O(n log n).
+FFT, stopped before the final recombination stages.  Each stride is one
+batched numpy FFT over the rows of the (stride, co-stride) reshape, which
+costs O(n log n) at every length, primes included (pocketfft falls back on
+Bluestein's chirp-z method there).  The four DFT powers of every
+stride-eta1 train follow from the `dft_train` label law in closed form, and
+the class combination is one product against the 4x4 character matrix, so
+`analyze` costs O(n log n) overall.
 
-The FFT here recurses on the smallest prime factor of the length and falls
-back to the direct quadratic product for prime lengths; its only contract
-is agreement with the quadratic reference transform.
+`synthesize` is the exact adjoint of `analyze` restricted to the basis
+labels: the same steps, conjugate-transposed and run backwards.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import EigenBasis, gram_report
 from .numerics import DEFAULT_TOL, TolerancePolicy, as_vector, omega_power
-from .trains import DivisorPair, ModulatedDeltaTrain, dft_train, eta_pair
+from .trains import DivisorPair, eta_pair
 
 __all__ = [
-    "fft",
     "train_correlations",
     "CorrelationTensor",
     "analyze",
@@ -32,58 +33,17 @@ __all__ = [
     "synthesize",
 ]
 
-
-def _smallest_prime_factor(m: int) -> int:
-    if m % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return f
-        f += 2
-    return m
+# _CHARACTERS[k, j] = i**(j*k) / 4, so that P_k = sum_j _CHARACTERS[k, j] * D**j
+_CHARACTERS = 0.25 * np.array([[1j ** (j * k % 4) for j in range(4)] for k in range(4)])
+_CHARACTERS.setflags(write=False)
 
 
-@functools.lru_cache(maxsize=None)
-def _butterfly(p: int) -> np.ndarray:
-    """Unscaled p-point DFT matrix, entry (j, k) = exp(-2*pi*i*j*k/p)."""
-    j = np.arange(p)
-    mat = np.exp((-2j * np.pi / p) * (np.outer(j, j) % p))
-    mat.setflags(write=False)
-    return mat
-
-
-@functools.lru_cache(maxsize=None)
-def _twiddles(m: int, p: int) -> np.ndarray:
-    """Twiddle factors exp(-2*pi*i*r*s/m) for r < p, s < m//p."""
-    t = np.exp(
-        (-2j * np.pi / m) * (np.outer(np.arange(p), np.arange(m // p)) % m)
-    )
-    t.setflags(write=False)
-    return t
-
-
-def _fft_rec(x: np.ndarray) -> np.ndarray:
-    """Unscaled DFT along the last axis; batched over leading axes."""
-    m = x.shape[-1]
-    if m == 1:
-        return x.copy()
-    p = _smallest_prime_factor(m)
-    if p == m:
-        return x @ _butterfly(m)
-    q = m // p
-    # index n = p*t + r: transform the p subsequences of length q, ...
-    sub = _fft_rec(x.reshape(x.shape[:-1] + (q, p)).swapaxes(-1, -2))
-    sub = sub * _twiddles(m, p)
-    # ... then combine across r with a p-point butterfly per output column.
-    out = np.einsum("ur,...rs->...us", _butterfly(p), sub)
-    return out.reshape(x.shape[:-1] + (m,))
-
-
-def fft(v) -> np.ndarray:
-    """Unitary transform, equal to the reference DFT within residual_tol."""
-    arr = as_vector(v)
-    return _fft_rec(arr) / math.sqrt(arr.size)
+@functools.lru_cache(maxsize=16)
+def _modulation(n: int, d1: int) -> np.ndarray:
+    """w**(a*b) for a < d1 and b < n/d1: the phase of each strided DFT output."""
+    table = omega_power(n, np.outer(np.arange(d1), np.arange(n // d1)))
+    table.setflags(write=False)
+    return table
 
 
 def train_correlations(v, d1: int) -> np.ndarray:
@@ -97,10 +57,10 @@ def train_correlations(v, d1: int) -> np.ndarray:
     n = arr.size
     if d1 < 1 or n % d1 != 0:
         raise ValueError(f"stride {d1} does not divide n={n}")
-    d2 = n // d1
-    rows = arr.reshape(d2, d1).T  # rows[a, t] = v[a + t*d1]
-    spectrum = _fft_rec(rows) / math.sqrt(d2)
-    return spectrum * omega_power(n, np.outer(np.arange(d1), np.arange(d2)))
+    rows = arr.reshape(n // d1, d1).T  # rows[a, t] = v[a + t*d1]
+    spectrum = np.fft.fft(rows, axis=-1, norm="ortho")
+    spectrum *= _modulation(n, d1)
+    return spectrum
 
 
 @dataclass(eq=False)
@@ -116,58 +76,60 @@ class CorrelationTensor:
     values: np.ndarray
 
 
+def _stride(eta: DivisorPair, j: int) -> int:
+    """Stride of the trains in DFT power j of a stride-eta1 train."""
+    return eta.eta2 if j % 2 else eta.eta1
+
+
 @functools.lru_cache(maxsize=8)
 def _projection_recipe(n: int):
-    """Label and phase chains of the four DFT powers of each stride-eta1 train.
+    """Where the four DFT powers of each stride-eta1 train land, and with what phase.
 
-    For power j the image train has a fixed stride (eta1 for even j, eta2
-    for odd j); the per-(a, b) offsets, modulations, and accumulated unit
-    phases are tabulated once so `analyze` can gather them in bulk.
+    D**j g_{eta1}(a, b) = phases[j, a, b] * g(x, y), a unit train of stride
+    s = eta1 for even j and s = eta2 for odd j, stored as its position
+    index[j, a, b] = x * (n/s) + y in the flattened (s, n/s) correlation
+    grid.  One step of `dft_train` sends a reduced label (s, x, y) to
+    (n/s, y, -x mod s) and, once the reduction of -x is folded in,
+    multiplies the phase by w**((-x mod s)*y).  Each step runs on whole
+    label arrays; the phase exponent is accumulated as an integer mod n and
+    exponentiated once.
     """
     eta = eta_pair(n)
-    e1, e2 = eta.eta1, eta.eta2
-    offs = np.empty((4, e1, e2), dtype=np.intp)
-    mods = np.empty((4, e1, e2), dtype=np.intp)
-    phases = np.empty((4, e1, e2), dtype=np.complex128)
-    for a in range(e1):
-        for b in range(e2):
-            t = ModulatedDeltaTrain(n=n, d1=e1, a=a, b=b)
-            for j in range(4):
-                offs[j, a, b] = t.a
-                mods[j, a, b] = t.b
-                phases[j, a, b] = t.phase
-                t = dft_train(t)
-    offs.setflags(write=False)
-    mods.setflags(write=False)
+    shape = (4, eta.eta1, eta.eta2)
+    index = np.empty(shape, dtype=np.intp)
+    exponents = np.empty(shape, dtype=np.intp)
+    x, y = np.meshgrid(np.arange(eta.eta1), np.arange(eta.eta2), indexing="ij")
+    exponent = np.zeros(shape[1:], dtype=np.intp)
+    stride = eta.eta1
+    for j in range(4):
+        index[j], exponents[j] = x * (n // stride) + y, exponent
+        x_neg = -x % stride
+        exponent = (exponent + x_neg * y) % n
+        x, y, stride = y, x_neg, n // stride
+    phases = omega_power(n, exponents)
+    index.setflags(write=False)
     phases.setflags(write=False)
-    return eta, offs, mods, phases
+    return eta, index, phases
 
 
 def analyze(v) -> CorrelationTensor:
     """Correlations against all 4n projected trains in O(n log n).
 
     Runs one strided-correlation pass per distinct stride in the divisor
-    pair, then combines the four transform-power contributions with their
-    class characters in linear time.
+    pair, gathers the four transform powers of every train from them, and
+    combines those with the class characters in one 4x4 product.
     """
     arr = as_vector(v)
     n = arr.size
-    eta, offs, mods, phases = _projection_recipe(n)
-    corr = {eta.eta1: train_correlations(arr, eta.eta1)}
-    if eta.eta2 not in corr:
-        corr[eta.eta2] = train_correlations(arr, eta.eta2)
-    picked = []
+    eta, index, phases = _projection_recipe(n)
+    corr = {s: train_correlations(arr, s).reshape(n) for s in {eta.eta1, eta.eta2}}
+    picked = np.empty(phases.shape, dtype=np.complex128)
     for j in range(4):
-        stride = eta.eta1 if j % 2 == 0 else eta.eta2
-        # inner products are conjugate-linear in the candidate slot
-        picked.append(np.conj(phases[j]) * corr[stride][offs[j], mods[j]])
-    values = np.empty((4, eta.eta1, eta.eta2), dtype=np.complex128)
-    for k in range(4):
-        acc = np.zeros((eta.eta1, eta.eta2), dtype=np.complex128)
-        for j in range(4):
-            acc += np.conj(0.25 * 1j ** (j * k)) * picked[j]
-        values[k] = acc
-    return CorrelationTensor(n=n, eta=eta, values=values)
+        np.take(corr[_stride(eta, j)], index[j], out=picked[j])
+    # inner products are conjugate-linear in the candidate slot
+    picked *= np.conj(phases)
+    values = np.conj(_CHARACTERS) @ picked.reshape(4, n)
+    return CorrelationTensor(n=n, eta=eta, values=values.reshape(phases.shape))
 
 
 def _label_indices(basis: EigenBasis):
@@ -191,7 +153,7 @@ def to_coefficients(
     For an orthogonal basis the coefficients are the selected correlation
     entries.  Otherwise the Gram system is solved: its inverse is computed
     once and cached on the basis, and the solution is sharpened by residual
-    correction through the sparse synthesis path until the reconstruction
+    correction through the fast synthesis path until the reconstruction
     meets residual_tol.
     """
     arr = as_vector(v)
@@ -223,23 +185,27 @@ def to_coefficients(
 
 
 def synthesize(coefficients, basis: EigenBasis) -> np.ndarray:
-    """Sum of coefficient times basis vector, accumulated via the labels.
+    """Sum of coefficient times basis vector: the adjoint of `analyze`.
 
-    Work is proportional to the total term support, O(n*(eta1+eta2)/eta1),
-    rather than to a dense n-by-n product.
+    Runs the steps of `analyze` backwards on the same recipe, each one
+    conjugate-transposed: scatter the weights onto the labels, apply the
+    characters and phases, scatter into the two stride grids, and undo
+    each strided pass with an inverse FFT.  O(n log n), like `analyze`.
     """
     coeffs = np.asarray(coefficients, dtype=np.complex128)
-    if coeffs.shape != (basis.n,):
-        raise ValueError(
-            f"expected {basis.n} coefficients, got shape {coeffs.shape}"
-        )
-    out = np.zeros(basis.n, dtype=np.complex128)
-    for c, rec in zip(coeffs, basis.vectors):
-        if c == 0:
-            continue
-        weight = c / rec.scale
-        for term_coeff, train in rec.sum.terms:
-            idx = train.support_indices()
-            amp = weight * term_coeff * train.phase / math.sqrt(train.d2)
-            out[idx] += amp * omega_power(train.n, -train.b * idx)
+    n = basis.n
+    if coeffs.shape != (n,):
+        raise ValueError(f"expected {n} coefficients, got shape {coeffs.shape}")
+    eta, index, phases = _projection_recipe(n)
+    weights = np.zeros(phases.shape, dtype=np.complex128)
+    np.add.at(weights, _label_indices(basis), coeffs / basis.scales())
+    terms = (_CHARACTERS.T @ weights.reshape(4, n)).reshape(phases.shape) * phases
+    grids = {s: np.zeros(n, dtype=np.complex128) for s in {eta.eta1, eta.eta2}}
+    for j in range(4):  # each power maps the labels onto its grid bijectively
+        grids[_stride(eta, j)][index[j]] += terms[j]
+    out = np.zeros(n, dtype=np.complex128)
+    for s, grid in grids.items():
+        spectrum = grid.reshape(s, n // s) * np.conj(_modulation(n, s))
+        # row a, column t of the inverse pass lands at out[a + t*s]
+        out += np.fft.ifft(spectrum, axis=-1, norm="ortho").T.reshape(n)
     return out

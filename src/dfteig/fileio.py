@@ -17,7 +17,7 @@ import numpy as np
 from .basis import BasisVectorRecord, EigenBasis
 from .numerics import DEFAULT_TOL, TolerancePolicy
 from .projection import TrainSum
-from .trains import DivisorPair, ModulatedDeltaTrain
+from .trains import DivisorPair, ModulatedDeltaTrain, eta_pair
 
 __all__ = [
     "FORMAT_VERSION",
@@ -169,11 +169,24 @@ def _records_from_payload(payload, path) -> EigenBasis:
         raw_vectors = payload["vectors"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
-    if eta.eta1 * eta.eta2 != n:
-        raise ValueError(f"{path}: eta1*eta2 != n")
+    if n < 1 or eta != eta_pair(n):
+        raise ValueError(
+            f"{path}: ({eta.eta1}, {eta.eta2}) is not the divisor pair of n={n}"
+        )
     records = []
     counts = [0, 0, 0, 0]
     for vec in raw_vectors:
+        # labels index the change-of-basis tables, where a negative one would wrap
+        k, a, b = int(vec["k"]), int(vec["a"]), int(vec["b"])
+        if not (0 <= k <= 3 and 0 <= a < eta.eta1 and 0 <= b < eta.eta2):
+            raise ValueError(
+                f"{path}: label ({k}, {a}, {b}) out of range for "
+                f"k < 4, a < {eta.eta1}, b < {eta.eta2}"
+            )
+        if any(int(t["n"]) != n for t in vec["terms"]):
+            raise ValueError(
+                f"{path}: a term of label ({k}, {a}, {b}) is not of dimension n={n}"
+            )
         terms = tuple(
             (
                 complex(t["coeff_re"], t["coeff_im"]),
@@ -197,14 +210,11 @@ def _records_from_payload(payload, path) -> EigenBasis:
             raise ValueError(f"{path}: vector with empty entries")
         if abs(norm - 1.0) > 1e-6:  # raw export: undo the stored scale
             dense = dense / norm
-        k = int(vec["k"])
-        if not 0 <= k <= 3:
-            raise ValueError(f"{path}: eigenvalue class {k} out of range")
         records.append(
             BasisVectorRecord(
                 k=k,
-                a=int(vec["a"]),
-                b=int(vec["b"]),
+                a=a,
+                b=b,
                 sum=TrainSum(n=n, terms=terms),
                 dense=dense,
                 support=int(np.count_nonzero(np.abs(dense) > DEFAULT_TOL.zero_tol)),

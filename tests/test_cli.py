@@ -59,6 +59,16 @@ def test_verify_corrupted_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_verify_rejects_negative_label(tmp_path, capsys):
+    path = tmp_path / "b12.json"
+    assert main(["build", "--n", "12", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["vectors"][3]["a"] = -1
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "--input", str(path)]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_verify_requires_target(capsys):
     assert main(["verify"]) == 2
 

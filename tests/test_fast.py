@@ -7,9 +7,9 @@ from dfteig import (
     build_basis,
     densify,
     densify_sum,
+    dft_train,
     enumerate_candidates,
     eta_pair,
-    fft,
     gram_report,
     inner,
     naive_dft,
@@ -17,6 +17,7 @@ from dfteig import (
     to_coefficients,
     train_correlations,
 )
+from dfteig.fast import _projection_recipe
 
 
 def random_vector(n, seed=0):
@@ -24,22 +25,27 @@ def random_vector(n, seed=0):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def full_dft(v):
+    """The stride-1 correlation pass is the whole unitary DFT."""
+    return train_correlations(v, 1)[0]
+
+
 # ---------------------------------------------------------------------------
-# fft
+# fft: the stride-1 pass against the quadratic oracle
 
 
 def test_fft_four_point():
-    assert np.allclose(fft([1, 0, 0, 0]), [0.5, 0.5, 0.5, 0.5], atol=1e-12)
+    assert np.allclose(full_dft([1, 0, 0, 0]), [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
 def test_fft_one_point():
-    assert np.allclose(fft([2 - 3j]), [2 - 3j], atol=1e-15)
+    assert np.allclose(full_dft([2 - 3j]), [2 - 3j], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", list(range(1, 129)) + [360])
 def test_fft_matches_reference(n):
     v = random_vector(n, seed=n)
-    assert np.linalg.norm(fft(v) - naive_dft(v)) <= 1e-9
+    assert np.linalg.norm(full_dft(v) - naive_dft(v)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +79,61 @@ def test_train_correlations_matches_inner_products(n, d1):
             assert abs(corr[a, b] - inner(v, densify(g))) <= 1e-9
 
 
+@pytest.mark.parametrize("d1", [1, 1009])
+def test_train_correlations_prime_length(d1):
+    # prime n: the only strides are 1 (one length-n DFT) and n (deltas)
+    n = 1009
+    v = random_vector(n, seed=d1)
+    corr = train_correlations(v, d1)
+    expected = np.array(
+        [
+            [
+                inner(v, densify(ModulatedDeltaTrain(n=n, d1=d1, a=a, b=b)))
+                for b in range(n // d1)
+            ]
+            for a in range(d1)
+        ]
+    )
+    assert np.abs(corr - expected).max() <= 1e-9
+
+
 def test_train_correlations_bad_stride():
     with pytest.raises(ValueError):
         train_correlations(np.ones(6), 4)
+
+
+# ---------------------------------------------------------------------------
+# projection recipe
+
+
+def dft_train_chain(n):
+    """The recipe tables built one train at a time by iterating dft_train."""
+    eta = eta_pair(n)
+    shape = (4, eta.eta1, eta.eta2)
+    offs = np.empty(shape, dtype=int)
+    mods = np.empty(shape, dtype=int)
+    phases = np.empty(shape, dtype=complex)
+    for a in range(eta.eta1):
+        for b in range(eta.eta2):
+            t = ModulatedDeltaTrain(n=n, d1=eta.eta1, a=a, b=b)
+            for j in range(4):
+                assert t.d1 == (eta.eta1, eta.eta2)[j % 2]
+                offs[j, a, b], mods[j, a, b], phases[j, a, b] = t.a, t.b, t.phase
+                t = dft_train(t)
+    return offs, mods, phases
+
+
+@pytest.mark.parametrize("n", list(range(1, 129)) + [240, 512, 576])
+def test_projection_recipe_matches_dft_train_chain(n):
+    eta, index, phases = _projection_recipe(n)
+    assert eta == eta_pair(n)
+    ref_offs, ref_mods, ref_phases = dft_train_chain(n)
+    # power j has stride eta1 (even j) or eta2 (odd j), so n/stride modulations
+    co_strides = np.array([eta.eta2, eta.eta1, eta.eta2, eta.eta1])[:, None, None]
+    offs, mods = np.divmod(index, co_strides)
+    assert np.array_equal(offs, ref_offs)
+    assert np.array_equal(mods, ref_mods)
+    assert np.abs(phases - ref_phases).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +226,19 @@ def test_synthesize_matches_dense_combination():
     coeff = rng.standard_normal(18) + 1j * rng.standard_normal(18)
     dense = coeff @ basis.dense_matrix()
     assert np.allclose(synthesize(coeff, basis), dense, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [36, 48, 240, 61])
+def test_synthesize_is_adjoint_of_analyze(n):
+    # <synthesize(c), v> = sum_m c_m conj(<v, u_m>), with <v, u_m> taken
+    # from the dense vectors rather than from analyze
+    basis = build_basis(n)
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    lhs = inner(synthesize(c, basis), v)
+    rhs = sum(cm * np.conj(inner(v, rec.dense)) for cm, rec in zip(c, basis.vectors))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(v)
 
 
 def test_dimension_mismatches_raise():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,41 @@ def test_corrupted_csv_reports_line(tmp_path):
     with pytest.raises(ValueError) as err:
         import_basis(path)
     assert ":3:" in str(err.value)
+
+
+def _edited_export(tmp_path, edit):
+    basis = build_basis(12)  # eta = (3, 4)
+    path = tmp_path / "basis.json"
+    export_basis(basis, path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("a", -1), ("a", 3), ("b", -1), ("b", 4), ("k", -1), ("k", 4), ("term n", 24)],
+)
+def test_out_of_range_labels_rejected(tmp_path, key, value):
+    def edit(payload):
+        vec = payload["vectors"][5]
+        if key == "term n":
+            vec["terms"][0]["n"] = value
+        else:
+            vec[key] = value
+
+    with pytest.raises(ValueError) as err:
+        import_basis(_edited_export(tmp_path, edit))
+    assert "basis.json" in str(err.value)
+
+
+def test_non_canonical_divisor_pair_rejected(tmp_path):
+    def edit(payload):
+        payload["eta1"], payload["eta2"] = 2, 6
+
+    with pytest.raises(ValueError, match="divisor pair"):
+        import_basis(_edited_export(tmp_path, edit))
 
 
 def test_missing_meta_rejected(tmp_path):
