@@ -37,7 +37,6 @@ from .projection import (
     TrainSum,
     densify_sum,
     eigenvalue_of,
-    is_symbolically_zero,
     project,
     support_bound,
     verify_eigenvector,
@@ -94,7 +93,6 @@ __all__ = [
     "TrainSum",
     "densify_sum",
     "eigenvalue_of",
-    "is_symbolically_zero",
     "project",
     "support_bound",
     "verify_eigenvector",

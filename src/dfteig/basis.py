@@ -1,9 +1,10 @@
 """Greedy construction of the sparse eigenvector basis, plus its audits.
 
 The 4n projected trains P_k g_{eta1}(a, b) contain n linearly independent
-eigenvectors.  Scanning them in a fixed order (class, then offset, then
-modulation) and keeping every candidate that extends the rank of its class
-(first fit) yields a deterministic basis whose supports sit between
+eigenvectors.  Each class's n candidates are densified as one array from
+the closed-form projection recipe.  Scanning them in a fixed order (offset,
+then modulation) and keeping every candidate that extends the rank of its
+class (first fit) yields a deterministic basis whose supports sit between
 (eta1+eta2)/2 and 2*(eta1+eta2).  First fit is exactly independent but can
 be numerically singular (prime n), so each class whose condition number
 exceeds CONDITION_BOUND is re-selected by max-residual column pivoting
@@ -30,12 +31,7 @@ from .numerics import (
     naive_dft,
     try_extend_rank,
 )
-from .projection import (
-    TrainSum,
-    densify_sum,
-    is_symbolically_zero,
-    project,
-)
+from .projection import TrainSum, _class_rows, project
 from .trains import DivisorPair, ModulatedDeltaTrain, eta_pair
 
 # Largest 2-norm condition number allowed for one class's unit rows before
@@ -136,7 +132,7 @@ class EigenBasis:
     eta: DivisorPair
     vectors: list[BasisVectorRecord]
     per_class_counts: tuple[int, int, int, int]
-    zero_candidates: int = 0
+    zero_candidates: int = 0  # vanishing projections among all 4n candidates
     _matrix: Optional[np.ndarray] = field(default=None, repr=False)
     _gram: Optional[np.ndarray] = field(default=None, repr=False)
     _reports: dict = field(default_factory=dict, repr=False)
@@ -160,19 +156,6 @@ class EigenBasis:
             mat = self.dense_matrix()
             self._gram = mat @ mat.conj().T
         return self._gram
-
-
-def _densified(
-    cand: TrainSum, tol: TolerancePolicy
-) -> Optional[tuple[np.ndarray, float]]:
-    """(dense vector, norm) of a candidate, or None when its projection vanished."""
-    if is_symbolically_zero(cand, tol):
-        return None
-    dense = densify_sum(cand)
-    scale = float(np.linalg.norm(dense))
-    if scale <= tol.residual_tol:
-        return None
-    return dense, scale
 
 
 def _ill_conditioned(units: np.ndarray) -> bool:
@@ -207,68 +190,57 @@ def _pivot_rows(units: np.ndarray, count: int, tol: TolerancePolicy) -> list[int
 def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
     """Deterministic selection of n independent projected trains.
 
-    Per class, scans candidates in enumeration order, drops the ones whose
-    projection vanished, keeps each candidate that extends the rank of its
-    class, and stops at the class's known multiplicity (first fit).  First
+    Per class, densifies all n candidates as one array in scan order,
+    counts the ones whose projection vanished as zero candidates, and
+    normalizes the rest.  First fit keeps each unit row that extends the
+    rank of its class and stops at the class's known multiplicity.  First
     fit guarantees exact independence but no margin: at prime n its rows
     can be numerically singular.  So a class whose unit rows have a 2-norm
     condition number above CONDITION_BOUND is re-selected from all its
     nonzero candidates by max-residual pivoting, ties going to the earliest
-    candidate.  Records stay in scan order.  Raises if any class falls
-    short, which would indicate a bug rather than bad input.
+    candidate.  Records stay in scan order and carry the symbolic sum of
+    their label only.  Raises if any class falls short, which would
+    indicate a bug rather than bad input.
     """
     eta = eta_pair(n)
     dims = multiplicities(n).dims
-    pools: list[list[tuple[int, int, TrainSum]]] = [[] for _ in range(4)]
-    for k, a, b, cand in enumerate_candidates(n):
-        pools[k].append((a, b, cand))
     vectors: list[BasisVectorRecord] = []
-    zero_candidates = 0
-    for k, pool in enumerate(pools):
-        # densified[i] caches pool[i]; first fit fills only the prefix it scans
-        densified: list[Optional[tuple[np.ndarray, float]]] = []
+    zeros = 0
+    for k in range(4):
+        units = _class_rows(n, k)  # row a*eta2 + b holds label (k, a, b)
+        scale = np.linalg.norm(units, axis=1)
+        nonzero = scale > tol.residual_tol
+        live = np.flatnonzero(nonzero)
+        zeros += n - live.size
+        units /= np.where(nonzero, scale, 1.0)[:, None]
         state = EliminationState(n)
         kept: list[int] = []
-        for _, _, cand in pool:
+        for i in live:
             if len(kept) >= dims[k]:
                 break
-            entry = _densified(cand, tol)
-            densified.append(entry)
-            if entry is None:
-                zero_candidates += 1
-                continue
-            accepted, _ = try_extend_rank(state, entry[0], tol)
-            if accepted:
-                kept.append(len(densified) - 1)
-        units = [densified[i][0] / densified[i][1] for i in kept]
-        if kept and _ill_conditioned(np.stack(units)):
-            densified += [_densified(cand, tol) for _, _, cand in pool[len(densified):]]
-            live = [i for i, entry in enumerate(densified) if entry is not None]
-            rows = np.stack([densified[i][0] / densified[i][1] for i in live])
-            picked = _pivot_rows(rows, dims[k], tol)
-            kept = [live[j] for j in picked]
-            units = list(rows[picked])
+            if try_extend_rank(state, units[i], tol)[0]:
+                kept.append(int(i))
+        if kept and _ill_conditioned(units[kept]):
+            kept = live[_pivot_rows(units[live], dims[k], tol)].tolist()
         if len(kept) != dims[k]:
             raise RuntimeError(
                 f"n={n}: eigenvalue class {k} reached rank {len(kept)} of "
                 f"{dims[k]}; the projected trains failed to span the class, "
                 "which indicates an implementation bug"
             )
-        for i, unit in zip(kept, units):
-            a, b, cand = pool[i]
-            support = int(np.count_nonzero(np.abs(unit) > tol.zero_tol))
+        for i in kept:
+            a, b = divmod(i, eta.eta2)
+            unit = units[i].copy()  # a view would pin the whole class array
+            g = ModulatedDeltaTrain(n=n, d1=eta.eta1, a=a, b=b)
             vectors.append(
                 BasisVectorRecord(
-                    k=k, a=a, b=b, sum=cand, dense=unit, support=support,
-                    scale=densified[i][1],
+                    k=k, a=a, b=b, sum=project(k, g), dense=unit,
+                    support=int(np.count_nonzero(np.abs(unit) > tol.zero_tol)),
+                    scale=float(scale[i]),
                 )
             )
     return EigenBasis(
-        n=n,
-        eta=eta,
-        vectors=vectors,
-        per_class_counts=dims,
-        zero_candidates=zero_candidates,
+        n=n, eta=eta, vectors=vectors, per_class_counts=dims, zero_candidates=zeros
     )
 
 

@@ -5,10 +5,11 @@ running short DFTs over the strided subsequences - the front part of a full
 FFT, stopped before the final recombination stages.  Each stride is one
 batched numpy FFT over the rows of the (stride, co-stride) reshape, which
 costs O(n log n) at every length, primes included (pocketfft falls back on
-Bluestein's chirp-z method there).  The four DFT powers of every
-stride-eta1 train follow from the `dft_train` label law in closed form, and
-the class combination is one product against the 4x4 character matrix, so
-`analyze` costs O(n log n) overall.
+Bluestein's chirp-z method there).  Where the four DFT powers of every
+stride-eta1 train land is read off the closed-form projection recipe in
+`projection.py`, shared with the basis builder, and the class combination
+is one product against the 4x4 character matrix, so `analyze` costs
+O(n log n) overall.
 
 `synthesize` is the exact adjoint of `analyze` restricted to the basis
 labels: the same steps, conjugate-transposed and run backwards.
@@ -23,7 +24,8 @@ import numpy as np
 
 from .basis import EigenBasis, gram_report
 from .numerics import DEFAULT_TOL, TolerancePolicy, as_vector, omega_power
-from .trains import DivisorPair, eta_pair
+from .projection import _CHARACTERS, _projection_recipe, _stride
+from .trains import DivisorPair
 
 __all__ = [
     "train_correlations",
@@ -32,10 +34,6 @@ __all__ = [
     "to_coefficients",
     "synthesize",
 ]
-
-# _CHARACTERS[k, j] = i**(j*k) / 4, so that P_k = sum_j _CHARACTERS[k, j] * D**j
-_CHARACTERS = 0.25 * np.array([[1j ** (j * k % 4) for j in range(4)] for k in range(4)])
-_CHARACTERS.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=16)
@@ -74,42 +72,6 @@ class CorrelationTensor:
     n: int
     eta: DivisorPair
     values: np.ndarray
-
-
-def _stride(eta: DivisorPair, j: int) -> int:
-    """Stride of the trains in DFT power j of a stride-eta1 train."""
-    return eta.eta2 if j % 2 else eta.eta1
-
-
-@functools.lru_cache(maxsize=8)
-def _projection_recipe(n: int):
-    """Where the four DFT powers of each stride-eta1 train land, and with what phase.
-
-    D**j g_{eta1}(a, b) = phases[j, a, b] * g(x, y), a unit train of stride
-    s = eta1 for even j and s = eta2 for odd j, stored as its position
-    index[j, a, b] = x * (n/s) + y in the flattened (s, n/s) correlation
-    grid.  One step of `dft_train` sends a reduced label (s, x, y) to
-    (n/s, y, -x mod s) and, once the reduction of -x is folded in,
-    multiplies the phase by w**((-x mod s)*y).  Each step runs on whole
-    label arrays; the phase exponent is accumulated as an integer mod n and
-    exponentiated once.
-    """
-    eta = eta_pair(n)
-    shape = (4, eta.eta1, eta.eta2)
-    index = np.empty(shape, dtype=np.intp)
-    exponents = np.empty(shape, dtype=np.intp)
-    x, y = np.meshgrid(np.arange(eta.eta1), np.arange(eta.eta2), indexing="ij")
-    exponent = np.zeros(shape[1:], dtype=np.intp)
-    stride = eta.eta1
-    for j in range(4):
-        index[j], exponents[j] = x * (n // stride) + y, exponent
-        x_neg = -x % stride
-        exponent = (exponent + x_neg * y) % n
-        x, y, stride = y, x_neg, n // stride
-    phases = omega_power(n, exponents)
-    index.setflags(write=False)
-    phases.setflags(write=False)
-    return eta, index, phases
 
 
 def analyze(v) -> CorrelationTensor:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import BasisVectorRecord, EigenBasis
 from .numerics import DEFAULT_TOL, TolerancePolicy
-from .projection import TrainSum
+from .projection import TrainSum, _class_rows, densify_sum
 from .trains import DivisorPair, ModulatedDeltaTrain, eta_pair
 
 __all__ = [
@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+
+# Import refuses a record whose scale or term sum differs from its label's
+# projected train by more than this, relative to the train's norm, or whose
+# unit entries differ by more than this anywhere.  Exports drop entries below
+# their zero_tol (at most 1e-6), and renormalizing a raw export divides that
+# by the scale, so the limit leaves a factor of ten above 1e-6.
+_LABEL_TOL = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -135,96 +142,120 @@ def export_basis(
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["meta", FORMAT_VERSION, basis.n, basis.eta.eta1, basis.eta.eta2]
-            )
-            for vec in payload["vectors"]:
-                writer.writerow(
-                    ["vector", vec["k"], vec["a"], vec["b"], repr(vec["scale"])]
-                )
-                for t in vec["terms"]:
-                    writer.writerow(
-                        [
-                            "term",
-                            t["n"],
-                            t["d1"],
-                            t["a"],
-                            t["b"],
-                            repr(t["coeff_re"]),
-                            repr(t["coeff_im"]),
-                            repr(t["phase_re"]),
-                            repr(t["phase_im"]),
-                        ]
-                    )
-                for idx, re_part, im_part in vec["entries"]:
-                    writer.writerow(["entry", idx, repr(re_part), repr(im_part)])
+            eta = basis.eta
+            writer.writerow(["meta", FORMAT_VERSION, basis.n, eta.eta1, eta.eta2])
+            for vec in payload["vectors"]:  # floats are written with repr
+                writer.writerow(["vector", vec["k"], vec["a"], vec["b"], vec["scale"]])
+                writer.writerows(["term", *t.values()] for t in vec["terms"])
+                writer.writerows(["entry", *entry] for entry in vec["entries"])
     else:
         raise ValueError(f"unknown format {fmt!r} (expected 'json' or 'csv')")
 
 
+def _record_from_payload(vec, eta: DivisorPair) -> BasisVectorRecord:
+    n = eta.n
+    # labels index the change-of-basis tables, where a negative one would wrap
+    k, a, b = int(vec["k"]), int(vec["a"]), int(vec["b"])
+    if not (0 <= k <= 3 and 0 <= a < eta.eta1 and 0 <= b < eta.eta2):
+        raise ValueError(
+            f"label ({k}, {a}, {b}) out of range for "
+            f"k < 4, a < {eta.eta1}, b < {eta.eta2}"
+        )
+    if any(int(t["n"]) != n for t in vec["terms"]):
+        raise ValueError(f"a term of label ({k}, {a}, {b}) is not of dimension n={n}")
+    terms = tuple(
+        (
+            complex(t["coeff_re"], t["coeff_im"]),
+            ModulatedDeltaTrain(
+                n=int(t["n"]),
+                d1=int(t["d1"]),
+                a=int(t["a"]),
+                b=int(t["b"]),
+                phase=complex(t["phase_re"], t["phase_im"]),
+            ),
+        )
+        for t in vec["terms"]
+    )
+    dense = np.zeros(n, dtype=np.complex128)
+    for idx, re_part, im_part in vec["entries"]:
+        if not 0 <= int(idx) < n:
+            raise ValueError(f"entry index {idx} out of range")
+        dense[int(idx)] = complex(re_part, im_part)
+    norm = float(np.linalg.norm(dense))
+    if norm <= 0.0:
+        raise ValueError(f"label ({k}, {a}, {b}) has empty entries")
+    if abs(norm - 1.0) > 1e-6:  # raw export: undo the stored scale
+        dense = dense / norm
+    return BasisVectorRecord(
+        k=k,
+        a=a,
+        b=b,
+        sum=TrainSum(n=n, terms=terms),
+        dense=dense,
+        support=int(np.count_nonzero(np.abs(dense) > DEFAULT_TOL.zero_tol)),
+        scale=float(vec["scale"]),
+    )
+
+
+def _check_against_label(rec: BasisVectorRecord, ref: np.ndarray) -> None:
+    """Refuse a record whose scale, terms or entries are not its label's train `ref`."""
+    ref_norm = float(np.linalg.norm(ref))
+    if ref_norm <= DEFAULT_TOL.residual_tol:
+        raise ValueError(f"the projection of label {rec.label} vanishes")
+    errors = {
+        "scale": abs(rec.scale - ref_norm) / ref_norm,
+        "terms": float(np.abs(densify_sum(rec.sum) - ref).max()) / ref_norm,
+        "entries": float(np.abs(rec.dense - ref / ref_norm).max()),
+    }
+    for name, error in errors.items():
+        if not error <= _LABEL_TOL:  # also refuses NaN
+            raise ValueError(
+                f"{name} of label {rec.label} differ from its projected train "
+                f"by {error:.2e} (limit {_LABEL_TOL:g})"
+            )
+
+
 def _records_from_payload(payload, path) -> EigenBasis:
     try:
+        version = payload["format_version"]
         n = int(payload["n"])
         eta = DivisorPair(n=n, eta1=int(payload["eta1"]), eta2=int(payload["eta2"]))
         raw_vectors = payload["vectors"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: format_version {version!r} is not {FORMAT_VERSION}")
     if n < 1 or eta != eta_pair(n):
         raise ValueError(
             f"{path}: ({eta.eta1}, {eta.eta2}) is not the divisor pair of n={n}"
         )
+    if not isinstance(raw_vectors, list):
+        raise ValueError(f"{path}: 'vectors' must be a list")
     records = []
-    counts = [0, 0, 0, 0]
-    for vec in raw_vectors:
-        # labels index the change-of-basis tables, where a negative one would wrap
-        k, a, b = int(vec["k"]), int(vec["a"]), int(vec["b"])
-        if not (0 <= k <= 3 and 0 <= a < eta.eta1 and 0 <= b < eta.eta2):
-            raise ValueError(
-                f"{path}: label ({k}, {a}, {b}) out of range for "
-                f"k < 4, a < {eta.eta1}, b < {eta.eta2}"
-            )
-        if any(int(t["n"]) != n for t in vec["terms"]):
-            raise ValueError(
-                f"{path}: a term of label ({k}, {a}, {b}) is not of dimension n={n}"
-            )
-        terms = tuple(
-            (
-                complex(t["coeff_re"], t["coeff_im"]),
-                ModulatedDeltaTrain(
-                    n=int(t["n"]),
-                    d1=int(t["d1"]),
-                    a=int(t["a"]),
-                    b=int(t["b"]),
-                    phase=complex(t["phase_re"], t["phase_im"]),
-                ),
-            )
-            for t in vec["terms"]
-        )
-        dense = np.zeros(n, dtype=np.complex128)
-        for idx, re_part, im_part in vec["entries"]:
-            if not 0 <= int(idx) < n:
-                raise ValueError(f"{path}: entry index {idx} out of range")
-            dense[int(idx)] = complex(re_part, im_part)
-        norm = float(np.linalg.norm(dense))
-        if norm <= 0.0:
-            raise ValueError(f"{path}: vector with empty entries")
-        if abs(norm - 1.0) > 1e-6:  # raw export: undo the stored scale
-            dense = dense / norm
-        records.append(
-            BasisVectorRecord(
-                k=k,
-                a=a,
-                b=b,
-                sum=TrainSum(n=n, terms=terms),
-                dense=dense,
-                support=int(np.count_nonzero(np.abs(dense) > DEFAULT_TOL.zero_tol)),
-                scale=float(vec["scale"]),
-            )
-        )
-        counts[k] += 1
-    return EigenBasis(
-        n=n, eta=eta, vectors=records, per_class_counts=tuple(counts)
-    )
+    rows_k, rows = None, None
+    for pos, vec in enumerate(raw_vectors):
+        try:
+            rec = _record_from_payload(vec, eta)
+            if rec.k != rows_k:  # exports list the records class by class
+                rows_k, rows = rec.k, _class_rows(n, rec.k)
+            _check_against_label(rec, rows[rec.a * eta.eta2 + rec.b])
+        except KeyError as exc:
+            raise ValueError(f"{path}: vector {pos} lacks field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: vector {pos}: {exc}") from None
+        records.append(rec)
+    counts = tuple(sum(rec.k == k for rec in records) for k in range(4))
+    return EigenBasis(n=n, eta=eta, vectors=records, per_class_counts=counts)
+
+
+# the typed columns after the row kind, in CSV order
+_CSV_FIELDS = {
+    "meta": (("format_version", int), ("n", int), ("eta1", int), ("eta2", int)),
+    "vector": (("k", int), ("a", int), ("b", int), ("scale", float)),
+    "term": (("n", int), ("d1", int), ("a", int), ("b", int), ("coeff_re", float),
+             ("coeff_im", float), ("phase_re", float), ("phase_im", float)),
+    "entry": (("index", int), ("re", float), ("im", float)),
+}
 
 
 def _import_basis_csv(path) -> EigenBasis:
@@ -234,43 +265,23 @@ def _import_basis_csv(path) -> EigenBasis:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
-            kind = row[0]
             try:
-                if kind == "meta":
-                    payload["format_version"] = int(row[1])
-                    payload["n"] = int(row[2])
-                    payload["eta1"] = int(row[3])
-                    payload["eta2"] = int(row[4])
-                elif kind == "vector":
-                    current = {
-                        "k": int(row[1]),
-                        "a": int(row[2]),
-                        "b": int(row[3]),
-                        "scale": float(row[4]),
-                        "terms": [],
-                        "entries": [],
-                    }
+                fields = _CSV_FIELDS.get(row[0])
+                if fields is None:
+                    raise ValueError(f"unknown row type {row[0]!r}")
+                if len(row) != len(fields) + 1:
+                    raise ValueError(f"{row[0]} row needs {len(fields)} fields")
+                typed = {name: cast(v) for (name, cast), v in zip(fields, row[1:])}
+                if row[0] == "meta":
+                    payload.update(typed)
+                elif row[0] == "vector":
+                    current = {**typed, "terms": [], "entries": []}
                     payload["vectors"].append(current)
-                elif kind == "term":
-                    current["terms"].append(
-                        {
-                            "n": int(row[1]),
-                            "d1": int(row[2]),
-                            "a": int(row[3]),
-                            "b": int(row[4]),
-                            "coeff_re": float(row[5]),
-                            "coeff_im": float(row[6]),
-                            "phase_re": float(row[7]),
-                            "phase_im": float(row[8]),
-                        }
-                    )
-                elif kind == "entry":
-                    current["entries"].append(
-                        [int(row[1]), float(row[2]), float(row[3])]
-                    )
+                elif row[0] == "term":
+                    current["terms"].append(typed)
                 else:
-                    raise ValueError(f"unknown row type {kind!r}")
-            except (IndexError, ValueError, TypeError, AttributeError) as exc:
+                    current["entries"].append(list(typed.values()))
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if "n" not in payload:
         raise ValueError(f"{path}: missing meta row")

@@ -122,33 +122,43 @@ def inner(x, y) -> complex:
 class EliminationState:
     """Tracks the span of the vectors accepted so far.
 
-    Internally keeps an orthonormal pivot set built by modified
-    Gram-Schmidt, so acceptance decisions are projection residuals rather
-    than determinants.  Single-owner mutable: may be handed between
-    execution contexts, but must not be mutated concurrently.
+    Keeps an orthonormal pivot set as the rows of one array and measures a
+    vector against it by classical Gram-Schmidt run twice (CGS2), as
+    accurate as modified Gram-Schmidt but run as matrix-vector products.
+    Acceptance decisions are projection residuals rather than determinants.
+    Single-owner mutable: may be handed between execution contexts, but
+    must not be mutated concurrently.
     """
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = int(dim)
-        self._rows: list[np.ndarray] = []
+        self._rank = 0
+        self._pivots = np.empty((0, self.dim), dtype=np.complex128)
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return self._rank
 
     @property
     def pivot_rows(self) -> list[np.ndarray]:
-        return list(self._rows)
+        return list(self._pivots[: self._rank].copy())
 
     def residual(self, v: np.ndarray) -> np.ndarray:
-        """Component of v orthogonal to the accepted span (two MGS passes)."""
+        """Component of v orthogonal to the accepted span (two CGS passes)."""
         r = np.array(v, dtype=np.complex128, copy=True)
+        q = self._pivots[: self._rank]
         for _ in range(2):  # second pass mops up cancellation error
-            for q in self._rows:
-                r -= np.vdot(q, r) * q
+            r -= np.conj(q @ np.conj(r)) @ q
         return r
+
+    def _push(self, unit: np.ndarray) -> None:
+        if self._rank == len(self._pivots):  # double the capacity
+            spare = np.empty((self._rank + 1, self.dim), dtype=np.complex128)
+            self._pivots = np.concatenate([self._pivots, spare])
+        self._pivots[self._rank] = unit
+        self._rank += 1
 
 
 def try_extend_rank(state: EliminationState, v, tol: TolerancePolicy = DEFAULT_TOL):
@@ -163,6 +173,6 @@ def try_extend_rank(state: EliminationState, v, tol: TolerancePolicy = DEFAULT_T
     r = state.residual(arr)
     norm_r = float(np.linalg.norm(r))
     if norm_r > tol.residual_tol * float(np.linalg.norm(arr)) and norm_r > 0.0:
-        state._rows.append(r / norm_r)
+        state._push(r / norm_r)
         return True, state
     return False, state

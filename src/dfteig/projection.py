@@ -7,18 +7,22 @@ projectors onto the eigenspaces:
     P_k = (1/4) * sum_{j=0..3} i**(j*k) * D**j,   eigenvalue i**(-k).
 
 Each power of D applied to a delta train is again a train in label form,
-so the projection of a train is a four-term symbolic sum that costs O(1)
-to produce; densification happens only when a vector is actually needed.
+so the projection of a train is a four-term symbolic sum.  `project` and
+`densify_sum` apply that law one candidate at a time; the projection recipe
+runs it in closed form on whole label arrays, for the fast change of basis
+and for the basis builder, which densifies each class as one array.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, TolerancePolicy, as_vector, naive_dft
-from .trains import ModulatedDeltaTrain, densify, dft_train
+from .numerics import DEFAULT_TOL, TolerancePolicy, as_vector, naive_dft, omega_power
+from .trains import DivisorPair, ModulatedDeltaTrain, densify, dft_train, eta_pair
 
 __all__ = [
     "EIGENVALUES",
@@ -27,13 +31,15 @@ __all__ = [
     "project",
     "densify_sum",
     "support_bound",
-    "merged_term_coefficients",
-    "is_symbolically_zero",
     "verify_eigenvector",
 ]
 
 # i**(-k) for k = 0..3
 EIGENVALUES = (1 + 0j, -1j, -1 + 0j, 1j)
+
+# _CHARACTERS[k, j] = i**(j*k) / 4, so that P_k = sum_j _CHARACTERS[k, j] * D**j
+_CHARACTERS = 0.25 * np.array([[1j ** (j * k % 4) for j in range(4)] for k in range(4)])
+_CHARACTERS.setflags(write=False)
 
 
 def eigenvalue_of(k: int) -> complex:
@@ -88,28 +94,6 @@ def support_bound(s: TrainSum) -> int:
     return sum(train.d2 for _, train in s.terms)
 
 
-def merged_term_coefficients(s: TrainSum) -> dict[tuple[int, int, int], complex]:
-    """Net coefficient per distinct (d1, a, b) label, phases folded in.
-
-    Terms sharing a label are collinear by construction, so the merge is
-    exact; labels with a near-zero net coefficient contribute nothing.
-    """
-    merged: dict[tuple[int, int, int], complex] = {}
-    for coeff, train in s.terms:
-        key = (train.d1, train.a, train.b)
-        merged[key] = merged.get(key, 0j) + coeff * train.phase
-    return merged
-
-
-def is_symbolically_zero(s: TrainSum, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Fast zero pre-check: every merged label coefficient vanishes.
-
-    Only a shortcut; the densified norm stays authoritative for sums whose
-    labels do not cancel pairwise.
-    """
-    return all(abs(c) <= tol.zero_tol for c in merged_term_coefficients(s).values())
-
-
 def verify_eigenvector(v, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Relative residual ||D v - i**(-k) v|| / ||v|| under the reference DFT."""
     arr = as_vector(v)
@@ -118,3 +102,62 @@ def verify_eigenvector(v, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> float:
         raise ValueError("cannot classify a numerically zero vector")
     lam = eigenvalue_of(k)
     return float(np.linalg.norm(naive_dft(arr) - lam * arr)) / norm
+
+
+def _stride(eta: DivisorPair, j: int) -> int:
+    """Stride of the trains in DFT power j of a stride-eta1 train."""
+    return eta.eta2 if j % 2 else eta.eta1
+
+
+@functools.lru_cache(maxsize=8)
+def _projection_recipe(n: int):
+    """Where the four DFT powers of each stride-eta1 train land, and with what phase.
+
+    D**j g_{eta1}(a, b) = phases[j, a, b] * g(x, y), a unit train of stride
+    s = eta1 for even j and s = eta2 for odd j, stored as its position
+    index[j, a, b] = x * (n/s) + y in the flattened (s, n/s) correlation
+    grid.  One step of `dft_train` sends a reduced label (s, x, y) to
+    (n/s, y, -x mod s) and, once the reduction of -x is folded in,
+    multiplies the phase by w**((-x mod s)*y).  Each step runs on whole
+    label arrays; the phase exponent is accumulated as an integer mod n and
+    exponentiated once.
+    """
+    eta = eta_pair(n)
+    shape = (4, eta.eta1, eta.eta2)
+    index = np.empty(shape, dtype=np.intp)
+    exponents = np.empty(shape, dtype=np.intp)
+    x, y = np.meshgrid(np.arange(eta.eta1), np.arange(eta.eta2), indexing="ij")
+    exponent = np.zeros(shape[1:], dtype=np.intp)
+    stride = eta.eta1
+    for j in range(4):
+        index[j], exponents[j] = x * (n // stride) + y, exponent
+        x_neg = -x % stride
+        exponent = (exponent + x_neg * y) % n
+        x, y, stride = y, x_neg, n // stride
+    phases = omega_power(n, exponents)
+    index.setflags(write=False)
+    phases.setflags(write=False)
+    return eta, index, phases
+
+
+def _class_rows(n: int, k: int) -> np.ndarray:
+    """The n raw class-k candidates as the rows of one (n, n) array.
+
+    Row a*eta2 + b is densify_sum(project(k, g_{eta1}(a, b))), so the rows
+    run in scan order.  Power j of every train is the unit train of stride
+    s at its recipe position x*(n/s) + y, with entries w**(-y*t)/sqrt(n/s)
+    on t = x (mod s); each power is scattered into all rows at once.
+    """
+    eta, index, phases = _projection_recipe(n)
+    roots = omega_power(n, -np.arange(n))  # roots[e] = w**(-e)
+    rows = np.zeros((n, n), dtype=np.complex128)
+    labels = np.arange(n)[:, None]
+    for j in range(4):
+        s = _stride(eta, j)
+        d = n // s
+        x, y = np.divmod(index[j].reshape(n, 1), d)
+        t = x + s * np.arange(d)  # the d support positions of each row
+        weight = (_CHARACTERS[k, j] / math.sqrt(d)) * phases[j].reshape(n, 1)
+        # positions within one row are distinct, so buffered += is exact
+        rows[labels, t] += weight * roots[y * t % n]
+    return rows

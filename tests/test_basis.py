@@ -149,6 +149,18 @@ def test_build_basis_zero_candidates_diagnostic():
     assert basis.zero_candidates >= 1
 
 
+@pytest.mark.parametrize("n", [4, 12, 103])
+def test_zero_candidates_count_every_vanishing_candidate(n):
+    # a property of n: every one of the 4n candidates is counted, scanned or not
+    vanishing = sum(
+        np.linalg.norm(densify_sum(cand)) <= 1e-9
+        for _, _, _, cand in enumerate_candidates(n)
+    )
+    assert build_basis(n).zero_candidates == vanishing
+    if n == 4:
+        assert vanishing >= 4  # class 3 vanishes entirely
+
+
 def test_build_basis_rejects_nonpositive():
     with pytest.raises(ValueError):
         build_basis(0)

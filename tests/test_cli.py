@@ -71,6 +71,78 @@ def test_verify_rejects_negative_label(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def _built(tmp_path, fmt, *flags):
+    path = tmp_path / f"b16.{fmt}"
+    argv = ["build", "--n", "16", "--format", fmt, "--out", str(path), *flags]
+    assert main(argv) == 0
+    return path
+
+
+def _set_entry(payload, value):
+    payload["vectors"][3]["entries"][0][1] = value
+
+
+JSON_EDITS = {
+    "version 99": lambda p: p.update(format_version=99),
+    "no version": lambda p: p.pop("format_version"),
+    "no k": lambda p: p["vectors"][3].pop("k"),
+    "no terms": lambda p: p["vectors"][3].pop("terms"),
+    "no scale": lambda p: p["vectors"][3].pop("scale"),
+    "vectors not a list": lambda p: p.update(vectors={"k": 0}),
+    "vector not a record": lambda p: p.update(vectors=[7]),
+    "doubled scale": lambda p: p["vectors"][3].update(scale=2 * p["vectors"][3]["scale"]),
+    "altered term": lambda p: p["vectors"][3]["terms"][1].update(coeff_re=0.3),
+    "altered entry": lambda p: _set_entry(p, 0.3),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(JSON_EDITS))
+def test_verify_refuses_bad_json_record(tmp_path, capsys, edit):
+    path = _built(tmp_path, "json")
+    payload = json.loads(path.read_text())
+    JSON_EDITS[edit](payload)
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "--input", str(path)]) == 2
+    assert "b16.json" in capsys.readouterr().err
+
+
+# row kind, which row of that kind, column, new value (None drops the column)
+CSV_EDITS = {
+    "version 99": ("meta", 0, 1, lambda v: "99"),
+    "no scale": ("vector", 3, 4, None),
+    "doubled scale": ("vector", 3, 4, lambda v: repr(2 * float(v))),
+    "altered term": ("term", 13, 5, lambda v: repr(float(v) + 0.1)),
+    "altered entry": ("entry", 9, 2, lambda v: repr(float(v) + 0.1)),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CSV_EDITS))
+def test_verify_refuses_bad_csv_record(tmp_path, capsys, edit):
+    path = _built(tmp_path, "csv")
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    kind, occurrence, column, change = CSV_EDITS[edit]
+    row = [row for row in rows if row[0] == kind][occurrence]
+    if change is None:
+        del row[column]
+    else:
+        row[column] = change(row[column])
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    assert main(["verify", "--input", str(path)]) == 2
+    assert "b16.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "flags",
+    [(), ("--no-normalize",), ("--tol", "1e-6"), ("--no-normalize", "--tol", "1e-6")],
+)
+def test_verify_accepts_valid_exports(tmp_path, capsys, fmt, flags):
+    path = _built(tmp_path, fmt, *flags)
+    tol_flags = [flag for flag in flags if flag != "--no-normalize"]
+    assert main(["verify", "--input", str(path), *tol_flags]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_verify_requires_target(capsys):
     assert main(["verify"]) == 2
 

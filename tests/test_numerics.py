@@ -149,6 +149,27 @@ def test_try_extend_rank_spanning_set_reaches_dim():
     assert state.rank == dim
 
 
+def test_elimination_state_decisions_at_high_rank():
+    rng = np.random.default_rng(11)
+    dim = 160
+    state = EliminationState(dim)
+    rows = rng.standard_normal((120, dim)) + 1j * rng.standard_normal((120, dim))
+    for row in rows:
+        assert try_extend_rank(state, row)[0]
+    assert state.rank == 120
+    weights = rng.standard_normal(120) + 1j * rng.standard_normal(120)
+    combination = weights @ rows
+    assert not try_extend_rank(state, combination)[0]
+    assert state.rank == 120
+    # a new direction at 1e-6 of the vector's norm is still accepted
+    fresh = state.residual(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    fresh *= 1e-6 * np.linalg.norm(combination) / np.linalg.norm(fresh)
+    assert try_extend_rank(state, combination + fresh)[0]
+    assert state.rank == 121
+    pivots = np.stack(state.pivot_rows)
+    assert np.abs(pivots @ pivots.conj().T - np.eye(121)).max() <= 1e-12
+
+
 def test_try_extend_rank_dimension_mismatch():
     with pytest.raises(ValueError):
         try_extend_rank(EliminationState(3), np.ones(4))

@@ -9,12 +9,12 @@ from dfteig import (
     dft_pow,
     eigenvalue_of,
     eta_pair,
-    is_symbolically_zero,
     naive_dft,
     project,
     support_bound,
     verify_eigenvector,
 )
+from dfteig.projection import _class_rows
 
 
 def oracle_projection(k, dense):
@@ -137,9 +137,21 @@ def test_support_bound_dominates_true_support(n):
 def test_symbolic_zero_precheck():
     # dimension-2 class-1 projections cancel label by label
     g = ModulatedDeltaTrain(n=2, d1=1, a=0, b=1)
-    assert is_symbolically_zero(project(1, g))
     assert np.linalg.norm(densify_sum(project(1, g))) <= 1e-12
-    assert not is_symbolically_zero(project(0, g))
+
+
+@pytest.mark.parametrize("n", list(range(1, 65)) + [103, 240, 276])
+def test_class_rows_match_per_label_chain(n):
+    # the per-label chain project -> densify_sum is the reference
+    eta = eta_pair(n)
+    for k in range(4):
+        rows = _class_rows(n, k)
+        assert rows.shape == (n, n)
+        for a in range(eta.eta1):
+            for b in range(eta.eta2):
+                g = ModulatedDeltaTrain(n=n, d1=eta.eta1, a=a, b=b)
+                expected = densify_sum(project(k, g))
+                assert np.abs(rows[a * eta.eta2 + b] - expected).max() <= 1e-12
 
 
 def test_verify_eigenvector_fixed_point():
