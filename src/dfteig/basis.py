@@ -351,14 +351,15 @@ def gram_report(basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL) -> GramRe
     if cached is not None:
         return cached
     gram = basis.gram_matrix()
-    off = np.abs(gram - np.eye(basis.n))
+    size = len(gram)  # basis.n unless a file lacked records
+    off = np.abs(gram - np.eye(size))
     max_off = float(off.max())
     if max_off <= tol.residual_tol:
         report = GramReport(
             n=basis.n, is_orthogonal=True, max_offdiag=max_off, witness=None
         )
     else:
-        iu, ju = np.triu_indices(basis.n, k=1)
+        iu, ju = np.triu_indices(size, k=1)
         vals = np.abs(gram[iu, ju])
         usable = (vals > tol.residual_tol) & (vals < 1.0 - tol.residual_tol)
         witness = None

@@ -3,6 +3,15 @@
 Complex values are always written as separate decimal re/im fields, never
 as "a+bj" strings.  Floats are serialized with repr(), which round-trips
 exactly, so re-exporting an imported basis reproduces the file bit for bit.
+
+Basis exports are format_version 1.  JSON goes out as one compact line,
+the text of json.dumps, encoded a record at a time by its C encoder, which
+runs about three times faster than the indented, pure-Python one; files
+written indented by earlier versions hold the same fields and import
+unchanged.  Import types and range-checks every record,
+refusing integer fields given as floats, strings or booleans and entry
+indices that repeat, then densifies and checks each eigenvalue class as
+one array against the class's projected trains.
 """
 
 from __future__ import annotations
@@ -10,13 +19,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .basis import BasisVectorRecord, EigenBasis
-from .numerics import DEFAULT_TOL, TolerancePolicy
-from .projection import TrainSum, _class_rows, densify_sum
+from .numerics import DEFAULT_TOL, TolerancePolicy, omega_power
+from .projection import TrainSum, _class_rows
 from .trains import DivisorPair, ModulatedDeltaTrain, eta_pair
 
 __all__ = [
@@ -87,10 +96,10 @@ def read_vector(path) -> np.ndarray:
 
 def _vector_payload(rec: BasisVectorRecord, normalized: bool, zero_tol: float):
     dense = rec.dense if normalized else rec.scale * rec.dense
-    entries = [
-        [int(idx), float(dense[idx].real), float(dense[idx].imag)]
-        for idx in np.flatnonzero(np.abs(dense) > zero_tol)
-    ]
+    index = np.flatnonzero(np.abs(dense) > zero_tol)
+    kept = dense[index]
+    # tolist() hands Python ints and floats to the encoder; tuples encode as lists
+    entries = list(zip(index.tolist(), kept.real.tolist(), kept.imag.tolist()))
     terms = [
         {
             "n": train.n,
@@ -126,25 +135,28 @@ def export_basis(
     `normalized=False` stores the raw (scale times unit) dense entries
     instead; the importer renormalizes either way.
     """
-    payload = {
+    header = {
         "format_version": FORMAT_VERSION,
         "n": basis.n,
         "eta1": basis.eta.eta1,
         "eta2": basis.eta.eta2,
-        "vectors": [
-            _vector_payload(rec, normalized, tol.zero_tol) for rec in basis.vectors
-        ],
     }
+    vectors = (_vector_payload(rec, normalized, tol.zero_tol) for rec in basis.vectors)
     if fmt == "json":
+        # The text of json.dumps({**header, "vectors": [...]}), one record per
+        # json.dumps call: the C encoder (json.dump and indent run the Python
+        # one) without holding the text of every record at once.
+        opening = json.dumps({**header, "vectors": []})[:-2]
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+            fh.write(opening)
+            for pos, vec in enumerate(vectors):
+                fh.write((", " if pos else "") + json.dumps(vec))
+            fh.write("]}\n")
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            eta = basis.eta
-            writer.writerow(["meta", FORMAT_VERSION, basis.n, eta.eta1, eta.eta2])
-            for vec in payload["vectors"]:  # floats are written with repr
+            writer.writerow(["meta", *header.values()])
+            for vec in vectors:  # floats are written with repr
                 writer.writerow(["vector", vec["k"], vec["a"], vec["b"], vec["scale"]])
                 writer.writerows(["term", *t.values()] for t in vec["terms"])
                 writer.writerows(["entry", *entry] for entry in vec["entries"])
@@ -152,98 +164,207 @@ def export_basis(
         raise ValueError(f"unknown format {fmt!r} (expected 'json' or 'csv')")
 
 
-def _record_from_payload(vec, eta: DivisorPair) -> BasisVectorRecord:
+def _integer(value, name: str) -> int:
+    """An integer field, refused when it is a float, a string or a boolean."""
+    if type(value) is not int:  # int() would truncate 3.5 and accept "1"
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+class _Parsed(NamedTuple):
+    """One record's fields, typed and range-checked but not yet densified."""
+
+    label: tuple[int, int, int]
+    scale: float
+    sum: TrainSum
+    entries: list
+
+
+def _parse_record(vec, eta: DivisorPair) -> _Parsed:
     n = eta.n
     # labels index the change-of-basis tables, where a negative one would wrap
-    k, a, b = int(vec["k"]), int(vec["a"]), int(vec["b"])
+    k, a, b = (_integer(vec[key], key) for key in ("k", "a", "b"))
     if not (0 <= k <= 3 and 0 <= a < eta.eta1 and 0 <= b < eta.eta2):
         raise ValueError(
             f"label ({k}, {a}, {b}) out of range for "
             f"k < 4, a < {eta.eta1}, b < {eta.eta2}"
         )
-    if any(int(t["n"]) != n for t in vec["terms"]):
+    if any(_integer(t["n"], "term n") != n for t in vec["terms"]):
         raise ValueError(f"a term of label ({k}, {a}, {b}) is not of dimension n={n}")
     terms = tuple(
         (
             complex(t["coeff_re"], t["coeff_im"]),
             ModulatedDeltaTrain(
-                n=int(t["n"]),
-                d1=int(t["d1"]),
-                a=int(t["a"]),
-                b=int(t["b"]),
+                n=n,
+                d1=_integer(t["d1"], "term d1"),
+                a=_integer(t["a"], "term a"),
+                b=_integer(t["b"], "term b"),
                 phase=complex(t["phase_re"], t["phase_im"]),
             ),
         )
         for t in vec["terms"]
     )
-    dense = np.zeros(n, dtype=np.complex128)
-    for idx, re_part, im_part in vec["entries"]:
-        if not 0 <= int(idx) < n:
-            raise ValueError(f"entry index {idx} out of range")
-        dense[int(idx)] = complex(re_part, im_part)
-    norm = float(np.linalg.norm(dense))
-    if norm <= 0.0:
+    entries = vec["entries"]
+    if not entries:
         raise ValueError(f"label ({k}, {a}, {b}) has empty entries")
-    if abs(norm - 1.0) > 1e-6:  # raw export: undo the stored scale
-        dense = dense / norm
-    return BasisVectorRecord(
-        k=k,
-        a=a,
-        b=b,
-        sum=TrainSum(n=n, terms=terms),
-        dense=dense,
-        support=int(np.count_nonzero(np.abs(dense) > DEFAULT_TOL.zero_tol)),
-        scale=float(vec["scale"]),
-    )
+    if set(map(len, entries)) != {3}:
+        raise ValueError(f"entries of label ({k}, {a}, {b}) are not [index, re, im]")
+    return _Parsed((k, a, b), float(vec["scale"]), TrainSum(n=n, terms=terms), entries)
 
 
-def _check_against_label(rec: BasisVectorRecord, ref: np.ndarray) -> None:
-    """Refuse a record whose scale, terms or entries are not its label's train `ref`."""
-    ref_norm = float(np.linalg.norm(ref))
-    if ref_norm <= DEFAULT_TOL.residual_tol:
-        raise ValueError(f"the projection of label {rec.label} vanishes")
+def _term_sums(n: int, parsed: list[_Parsed]) -> np.ndarray:
+    """Each record's stored terms summed densely, one scatter per stride.
+
+    A train of stride d1 has entries coeff * phase * w**(-b*t) / sqrt(d2)
+    at t = a + d1*m; two terms of one record may share positions, so the
+    scatter accumulates.
+    """
+    sums = np.zeros((len(parsed), n), dtype=np.complex128)
+    terms = [(i, c, g) for i, p in enumerate(parsed) for c, g in p.sum.terms]
+    if not terms:
+        return sums
+    owner = np.array([i for i, _, _ in terms])
+    weight = np.array([c * g.phase for _, c, g in terms])
+    d1, a, b = np.array([(g.d1, g.a, g.b) for _, _, g in terms]).T
+    for s in set(d1.tolist()):  # np.unique would import numpy.ma, about 1 MiB
+        sel = d1 == s
+        d = n // s
+        t = a[sel, None] + s * np.arange(d)
+        values = (weight[sel, None] / math.sqrt(d)) * omega_power(n, -b[sel, None] * t)
+        np.add.at(sums, (owner[sel, None], t), values)
+    return sums
+
+
+def _first_off_type(column, types: set) -> Optional[int]:
+    """Position of the first value whose type is not one of `types`, or None."""
+    if set(map(type, column)) <= types:
+        return None
+    return next(j for j, v in enumerate(column) if type(v) not in types)
+
+
+def _class_entries(n: int, positions, parsed) -> np.ndarray:
+    """The records' [index, re, im] entries scattered into one (records, n) array.
+
+    Refuses an entry index that is not an integer in [0, n) or that repeats
+    within its record, and a value that is not a number.  Each row is scaled
+    to unit norm unless it already has it (a raw export).
+    """
+    m = len(parsed)
+    rows = [row for p in parsed for row in p.entries]
+    owner = np.repeat(np.arange(m), [len(p.entries) for p in parsed])
+
+    def refuse(j, message):
+        return ValueError(f"vector {positions[owner[j]]}: {message}")
+
+    col_index, col_re, col_im = zip(*rows)
+    j = _first_off_type(col_index, {int})
+    if j is not None:
+        raise refuse(j, f"entry index {col_index[j]!r} is not an integer")
+    for column in (col_re, col_im):
+        j = _first_off_type(column, {int, float})
+        if j is not None:
+            raise refuse(j, f"entry value {column[j]!r} is not a number")
+    index = np.array(col_index)
+    outside = np.flatnonzero((index < 0) | (index >= n))
+    if outside.size:
+        raise refuse(outside[0], f"entry index {col_index[outside[0]]} out of range")
+    key = owner * n + index.astype(np.intp)
+    repeats = np.flatnonzero(np.bincount(key, minlength=m * n)[key] > 1)
+    if repeats.size:
+        raise refuse(repeats[0], f"entry index {col_index[repeats[0]]} repeated")
+    dense = np.zeros(m * n, dtype=np.complex128)
+    dense[key] = np.array(col_re, dtype=np.float64) + 1j * np.array(col_im, dtype=np.float64)
+    dense = dense.reshape(m, n)
+    norm = np.linalg.norm(dense, axis=1)
+    empty = np.flatnonzero(norm <= 0.0)
+    if empty.size:
+        i = empty[0]
+        raise ValueError(f"vector {positions[i]}: label {parsed[i].label} has empty entries")
+    raw = np.abs(norm - 1.0) > 1e-6  # raw export: undo the stored scale
+    dense[raw] /= norm[raw, None]
+    return dense
+
+
+def _class_records(eta: DivisorPair, positions, parsed) -> list[BasisVectorRecord]:
+    """One class's records, densified as one array and checked against their labels.
+
+    A record is refused when its scale, term sum or unit entries differ
+    from its label's projected train, row a*eta2 + b of _class_rows(n, k),
+    by more than _LABEL_TOL.
+    """
+    n = eta.n
+    dense = _class_entries(n, positions, parsed)
+    k = parsed[0].label[0]
+    ref = _class_rows(n, k)[[a * eta.eta2 + b for _, a, b in (p.label for p in parsed)]]
+    ref_norm = np.linalg.norm(ref, axis=1)
+    vanishes = ~(ref_norm > DEFAULT_TOL.residual_tol)
+    safe = np.where(vanishes, 1.0, ref_norm)
+    scales = np.array([p.scale for p in parsed])
     errors = {
-        "scale": abs(rec.scale - ref_norm) / ref_norm,
-        "terms": float(np.abs(densify_sum(rec.sum) - ref).max()) / ref_norm,
-        "entries": float(np.abs(rec.dense - ref / ref_norm).max()),
+        "scale": np.abs(scales - ref_norm) / safe,
+        "terms": np.abs(_term_sums(n, parsed) - ref).max(axis=1) / safe,
+        "entries": np.abs(dense - ref / safe[:, None]).max(axis=1),
     }
-    for name, error in errors.items():
-        if not error <= _LABEL_TOL:  # also refuses NaN
-            raise ValueError(
-                f"{name} of label {rec.label} differ from its projected train "
-                f"by {error:.2e} (limit {_LABEL_TOL:g})"
-            )
+    failed = vanishes.copy()
+    for error in errors.values():
+        failed |= ~(error <= _LABEL_TOL)  # also refuses NaN
+    if failed.any():
+        i = int(np.argmax(failed))
+        label = parsed[i].label
+        if vanishes[i]:
+            raise ValueError(f"vector {positions[i]}: the projection of label {label} vanishes")
+        name, error = next((name, e[i]) for name, e in errors.items() if not e[i] <= _LABEL_TOL)
+        raise ValueError(
+            f"vector {positions[i]}: {name} of label {label} differ from its "
+            f"projected train by {error:.2e} (limit {_LABEL_TOL:g})"
+        )
+    support = np.count_nonzero(np.abs(dense) > DEFAULT_TOL.zero_tol, axis=1).tolist()
+    return [
+        BasisVectorRecord(
+            k=k, a=p.label[1], b=p.label[2], sum=p.sum, dense=dense[i],
+            support=support[i], scale=p.scale,
+        )
+        for i, p in enumerate(parsed)
+    ]
 
 
 def _records_from_payload(payload, path) -> EigenBasis:
     try:
         version = payload["format_version"]
-        n = int(payload["n"])
-        eta = DivisorPair(n=n, eta1=int(payload["eta1"]), eta2=int(payload["eta2"]))
+        n, eta1, eta2 = (_integer(payload[key], key) for key in ("n", "eta1", "eta2"))
         raw_vectors = payload["vectors"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: format_version {version!r} is not {FORMAT_VERSION}")
+    eta = DivisorPair(n=n, eta1=eta1, eta2=eta2)
     if n < 1 or eta != eta_pair(n):
         raise ValueError(
             f"{path}: ({eta.eta1}, {eta.eta2}) is not the divisor pair of n={n}"
         )
     if not isinstance(raw_vectors, list):
         raise ValueError(f"{path}: 'vectors' must be a list")
-    records = []
-    rows_k, rows = None, None
+    parsed = []
     for pos, vec in enumerate(raw_vectors):
         try:
-            rec = _record_from_payload(vec, eta)
-            if rec.k != rows_k:  # exports list the records class by class
-                rows_k, rows = rec.k, _class_rows(n, rec.k)
-            _check_against_label(rec, rows[rec.a * eta.eta2 + rec.b])
+            parsed.append(_parse_record(vec, eta))
         except KeyError as exc:
             raise ValueError(f"{path}: vector {pos} lacks field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # huge term labels overflow
             raise ValueError(f"{path}: vector {pos}: {exc}") from None
-        records.append(rec)
+    records = [None] * len(parsed)
+    for k in range(4):
+        positions = [pos for pos, p in enumerate(parsed) if p.label[0] == k]
+        if not positions:
+            continue
+        try:
+            checked = _class_records(eta, positions, [parsed[pos] for pos in positions])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        for pos, rec in zip(positions, checked):
+            records[pos] = rec
     counts = tuple(sum(rec.k == k for rec in records) for k in range(4))
     return EigenBasis(n=n, eta=eta, vectors=records, per_class_counts=counts)
 

@@ -75,7 +75,9 @@ class ModulatedDeltaTrain:
         d2 = self.n // self.d1
         a = self.a % self.d1
         b = self.b % d2
-        phase = complex(self.phase) * complex(omega_power(self.n, -(self.b - b) * a))
+        phase = complex(self.phase)
+        if b != self.b:  # an in-range b needs no shift factor
+            phase *= complex(omega_power(self.n, -(self.b - b) * a))
         if abs(abs(phase) - 1.0) > DEFAULT_TOL.zero_tol:
             raise ValueError(f"phase must have unit magnitude, got |{phase!r}|")
         object.__setattr__(self, "a", a)

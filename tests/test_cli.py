@@ -1,10 +1,19 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from dfteig import build_basis, import_basis, read_vector, write_vector
-from dfteig.cli import main
+from dfteig import (
+    DEFAULT_TOL,
+    build_basis,
+    check_uncertainty,
+    import_basis,
+    read_vector,
+    verify_eigenvector,
+    write_vector,
+)
+from dfteig.cli import _oracle_pass, entrypoint, main
 
 
 def test_build_json(tmp_path, capsys):
@@ -82,6 +91,28 @@ def _set_entry(payload, value):
     payload["vectors"][3]["entries"][0][1] = value
 
 
+def _first_record(payload, key, value):
+    return next(vec for vec in payload["vectors"] if vec[key] == value)
+
+
+def _half_term_a(payload):
+    """Term a 3 becomes 3.5, which int() used to truncate back to 3."""
+    terms = (term for vec in payload["vectors"] for term in vec["terms"])
+    next(term for term in terms if term["a"] == 3)["a"] = 3.5
+
+
+def _half_index(payload):
+    """Entry index 3 becomes 3.5, which int() used to truncate back to 3."""
+    entries = (entry for vec in payload["vectors"] for entry in vec["entries"])
+    next(entry for entry in entries if entry[0] == 3)[0] = 3.5
+
+
+def _repeat_entry(payload):
+    """A wrong first value for an index that the correct entry then repeats."""
+    entries = payload["vectors"][3]["entries"]
+    entries.insert(0, [entries[0][0], 0.3, 0.0])
+
+
 JSON_EDITS = {
     "version 99": lambda p: p.update(format_version=99),
     "no version": lambda p: p.pop("format_version"),
@@ -93,6 +124,12 @@ JSON_EDITS = {
     "doubled scale": lambda p: p["vectors"][3].update(scale=2 * p["vectors"][3]["scale"]),
     "altered term": lambda p: p["vectors"][3]["terms"][1].update(coeff_re=0.3),
     "altered entry": lambda p: _set_entry(p, 0.3),
+    "n not an integer": lambda p: p.update(n=16.5),
+    "a not an integer": lambda p: _first_record(p, "a", 1).update(a=1.5),
+    "term a not an integer": _half_term_a,
+    "k as a string": lambda p: _first_record(p, "k", 1).update(k="1"),
+    "entry index not an integer": _half_index,
+    "repeated entry index": _repeat_entry,
 }
 
 
@@ -141,6 +178,30 @@ def test_verify_accepts_valid_exports(tmp_path, capsys, fmt, flags):
     tol_flags = [flag for flag in flags if flag != "--no-normalize"]
     assert main(["verify", "--input", str(path), *tol_flags]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+def test_verify_reports_missing_record(tmp_path, capsys):
+    path = _built(tmp_path, "json")
+    payload = json.loads(path.read_text())
+    del payload["vectors"][3]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()  # drop the build's output
+    assert main(["verify", "--input", str(path)]) == 1
+    out = capsys.readouterr().out
+    verdicts = dict(line.split()[:2] for line in out.splitlines()[1:-1])
+    assert len(verdicts) == 7  # the whole table is printed
+    failing = {name for name, verdict in verdicts.items() if verdict == "FAIL"}
+    assert failing == {"multiplicity-counts", "independent-rank"}
+    assert "CLAIM VIOLATION" in out
+
+
+@pytest.mark.parametrize("n", [*range(1, 129), 240, 257])
+def test_oracle_pass_matches_per_vector_oracle(n):
+    basis = build_basis(n)
+    residuals, verdicts = _oracle_pass(basis, DEFAULT_TOL)
+    for rec, residual, verdict in zip(basis.vectors, residuals, verdicts):
+        assert abs(residual - verify_eigenvector(rec.dense, rec.k)) <= 1e-14
+        assert verdict == check_uncertainty(rec.dense)
 
 
 def test_verify_requires_target(capsys):
@@ -242,3 +303,15 @@ def test_tol_flag_validation(tmp_path, capsys):
     # tolerances above 1e-6 violate the policy and surface as usage errors
     assert main(["verify", "--n", "4", "--tol", "0.5"]) == 2
     assert main(["verify", "--n", "4", "--tol", "1e-10"]) == 0
+
+
+def test_entrypoint_exits_with_main_code(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "b61.json"
+    for argv, code in ((["build", "--n", "61", "--out", str(path)], 0),
+                       (["verify", "--input", str(path)], 0),
+                       (["verify"], 2)):
+        monkeypatch.setattr(sys, "argv", ["dfteig", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            entrypoint()
+        assert exit_info.value.code == code
+    assert "all checks passed" in capsys.readouterr().out

@@ -169,3 +169,32 @@ def test_missing_meta_rejected(tmp_path):
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError):
         export_basis(build_basis(2), tmp_path / "x", fmt="xml")
+
+
+@pytest.mark.parametrize("n", [12, 16, 61])
+def test_indented_file_imports_like_compact(tmp_path, n):
+    compact = tmp_path / "compact.json"
+    export_basis(build_basis(n), compact)
+    text = compact.read_text()
+    assert text == json.dumps(json.loads(text)) + "\n"  # one line, default separators
+    indented = tmp_path / "indented.json"
+    with open(indented, "w", encoding="utf-8") as fh:  # the layout of older exports
+        json.dump(json.loads(compact.read_text()), fh, indent=1)
+    first, second = import_basis(compact), import_basis(indented)
+    assert first.labels() == second.labels()
+    for rec, other in zip(first.vectors, second.vectors):
+        assert np.array_equal(rec.dense, other.dense)
+        assert (rec.scale, rec.support) == (other.scale, other.support)
+        assert rec.sum == other.sum
+
+
+def test_csv_repeated_entry_index_rejected(tmp_path):
+    path = tmp_path / "basis.csv"
+    export_basis(build_basis(12), path, fmt="csv")
+    lines = path.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("entry,"))
+    index = lines[first].split(",")[1]
+    lines.insert(first, f"entry,{index},0.3,0.0")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="repeated"):
+        import_basis(path)

@@ -14,6 +14,7 @@ from dfteig import (
     support_bound,
     verify_eigenvector,
 )
+from dfteig.numerics import omega_power
 from dfteig.projection import _class_rows
 
 
@@ -176,3 +177,31 @@ def test_verify_eigenvector_wrong_class_residual():
 def test_verify_eigenvector_rejects_zero():
     with pytest.raises(ValueError):
         verify_eigenvector(np.zeros(4), 0)
+
+
+def _shift_always_chain(n, a, b):
+    """The four powers of g_{eta1}(a, b) as (d1, a, b, phase), by the label law
+    with the reduction factor w**(-(b - b mod d2)*a) applied at every step,
+    including the steps where it is w**0."""
+
+    def reduced(d1, a, b, phase):
+        a_red, b_red = a % d1, b % (n // d1)
+        return d1, a_red, b_red, phase * complex(omega_power(n, -(b - b_red) * a_red))
+
+    train = reduced(eta_pair(n).eta1, a, b, 1 + 0j)
+    chain = []
+    for _ in range(4):
+        chain.append(train)
+        d1, a, b, phase = train
+        train = reduced(n // d1, b, -a, phase * complex(omega_power(n, -a * b)))
+    return chain
+
+
+@pytest.mark.parametrize("n", range(1, 129))
+def test_project_phases_equal_shift_always_chain(n):
+    eta = eta_pair(n)
+    for a in range(eta.eta1):
+        for b in range(eta.eta2):
+            g = ModulatedDeltaTrain(n=n, d1=eta.eta1, a=a, b=b)
+            got = [(t.d1, t.a, t.b, t.phase) for _, t in project(0, g).terms]
+            assert got == _shift_always_chain(n, a, b)  # == ignores a zero's sign
