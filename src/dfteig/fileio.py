@@ -297,27 +297,26 @@ def _class_records(eta: DivisorPair, positions, parsed) -> list[BasisVectorRecor
     k = parsed[0].label[0]
     ref = _class_rows(n, k)[[a * eta.eta2 + b for _, a, b in (p.label for p in parsed)]]
     ref_norm = np.linalg.norm(ref, axis=1)
-    vanishes = ~(ref_norm > DEFAULT_TOL.residual_tol)
-    safe = np.where(vanishes, 1.0, ref_norm)
+    vanishing = np.flatnonzero(~(ref_norm > DEFAULT_TOL.residual_tol))
+    if vanishing.size:
+        i = vanishing[0]
+        raise ValueError(
+            f"vector {positions[i]}: the projection of label {parsed[i].label} vanishes"
+        )
     scales = np.array([p.scale for p in parsed])
     errors = {
-        "scale": np.abs(scales - ref_norm) / safe,
-        "terms": np.abs(_term_sums(n, parsed) - ref).max(axis=1) / safe,
-        "entries": np.abs(dense - ref / safe[:, None]).max(axis=1),
+        "scale": np.abs(scales - ref_norm) / ref_norm,
+        "terms": np.abs(_term_sums(n, parsed) - ref).max(axis=1) / ref_norm,
+        "entries": np.abs(dense - ref / ref_norm[:, None]).max(axis=1),
     }
-    failed = vanishes.copy()
-    for error in errors.values():
-        failed |= ~(error <= _LABEL_TOL)  # also refuses NaN
-    if failed.any():
-        i = int(np.argmax(failed))
-        label = parsed[i].label
-        if vanishes[i]:
-            raise ValueError(f"vector {positions[i]}: the projection of label {label} vanishes")
-        name, error = next((name, e[i]) for name, e in errors.items() if not e[i] <= _LABEL_TOL)
-        raise ValueError(
-            f"vector {positions[i]}: {name} of label {label} differ from its "
-            f"projected train by {error:.2e} (limit {_LABEL_TOL:g})"
-        )
+    for name, error in errors.items():
+        bad = np.flatnonzero(~(error <= _LABEL_TOL))  # also refuses NaN
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"vector {positions[i]}: {name} of label {parsed[i].label} differ "
+                f"from its projected train by {error[i]:.2e} (limit {_LABEL_TOL:g})"
+            )
     support = np.count_nonzero(np.abs(dense) > DEFAULT_TOL.zero_tol, axis=1).tolist()
     return [
         BasisVectorRecord(
