@@ -16,6 +16,7 @@ and the orthogonality classification.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -105,16 +106,17 @@ def enumerate_candidates(
 
 @dataclass(eq=False)
 class BasisVectorRecord:
-    """One selected eigenvector.
+    """One selected eigenvector, the projected train P_k g_{eta1}(a, b).
 
-    `dense` is unit-normalized; `scale` is the norm of the raw projected
-    sum, so scale * dense reproduces densify_sum(sum).
+    The label (k, a, b) fixes the vector.  `dense` is unit-normalized;
+    `scale` is the norm of the raw projected train, so scale * dense
+    reproduces densify_sum(sum).  `sum`, the train's four-term symbolic
+    projection, is derived from the label on first read.
     """
 
     k: int
     a: int
     b: int
-    sum: TrainSum
     dense: np.ndarray
     support: int
     scale: float
@@ -122,6 +124,12 @@ class BasisVectorRecord:
     @property
     def label(self) -> tuple[int, int, int]:
         return (self.k, self.a, self.b)
+
+    @functools.cached_property
+    def sum(self) -> TrainSum:
+        n = self.dense.size
+        g = ModulatedDeltaTrain(n=n, d1=eta_pair(n).eta1, a=self.a, b=self.b)
+        return project(self.k, g)
 
 
 @dataclass(eq=False)
@@ -198,9 +206,8 @@ def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
     can be numerically singular.  So a class whose unit rows have a 2-norm
     condition number above CONDITION_BOUND is re-selected from all its
     nonzero candidates by max-residual pivoting, ties going to the earliest
-    candidate.  Records stay in scan order and carry the symbolic sum of
-    their label only.  Raises if any class falls short, which would
-    indicate a bug rather than bad input.
+    candidate.  Records stay in scan order.  Raises if any class falls
+    short, which would indicate a bug rather than bad input.
     """
     eta = eta_pair(n)
     dims = multiplicities(n).dims
@@ -231,10 +238,9 @@ def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
         for i in kept:
             a, b = divmod(i, eta.eta2)
             unit = units[i].copy()  # a view would pin the whole class array
-            g = ModulatedDeltaTrain(n=n, d1=eta.eta1, a=a, b=b)
             vectors.append(
                 BasisVectorRecord(
-                    k=k, a=a, b=b, sum=project(k, g), dense=unit,
+                    k=k, a=a, b=b, dense=unit,
                     support=int(np.count_nonzero(np.abs(unit) > tol.zero_tol)),
                     scale=float(scale[i]),
                 )

@@ -1,4 +1,4 @@
-"""Command-line interface: build, verify, analyze, survey, bench.
+"""Command-line interface: build, verify, analyze, survey.
 
 Exit codes: 0 every requested check passed, 1 a certified claim failed,
 2 usage or I/O error.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -17,19 +16,11 @@ from .basis import (
     _uncertainty_ok,
     audit_sparsity,
     build_basis,
-    enumerate_candidates,
     gram_report,
     multiplicities,
 )
 from .fast import analyze, synthesize, to_coefficients
-from .fileio import (
-    export_basis,
-    import_basis,
-    read_vector,
-    write_bench_csv,
-    write_survey_csv,
-    write_vector,
-)
+from .fileio import export_basis, import_basis, read_vector, write_survey_csv, write_vector
 from .numerics import (
     DEFAULT_TOL,
     EliminationState,
@@ -38,7 +29,7 @@ from .numerics import (
     dft_matrix,
     try_extend_rank,
 )
-from .projection import EIGENVALUES, densify_sum
+from .projection import EIGENVALUES
 
 SPORADIC_ORTHOGONAL = {2, 3, 8}
 
@@ -59,13 +50,7 @@ def cmd_build(args) -> int:
         print("build: --n must be a positive integer", file=sys.stderr)
         return 2
     basis = build_basis(args.n, _tolerance(args))
-    export_basis(
-        basis,
-        args.out,
-        fmt=args.format,
-        normalized=not args.no_normalize,
-        tol=_tolerance(args),
-    )
+    export_basis(basis, args.out, fmt=args.format)
     print(
         f"wrote {args.out}: n={basis.n} eta=({basis.eta.eta1},{basis.eta.eta2}) "
         f"vectors={len(basis.vectors)} per-class={basis.per_class_counts}"
@@ -230,78 +215,6 @@ def cmd_survey(args) -> int:
     return 0
 
 
-def _bench_one(n: int, repeats: int = 5):
-    rng = np.random.default_rng(20240 + n)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-
-    analyze(v)  # warm the recipe and modulation caches
-    t_analyze = min(
-        _timed(lambda: analyze(v)) for _ in range(repeats)
-    )
-    fast_flat = analyze(v).values.reshape(-1)
-
-    t0 = time.perf_counter()
-    naive = np.array(
-        [np.vdot(densify_sum(cand), v) for _, _, _, cand in enumerate_candidates(n)]
-    )
-    t_naive = time.perf_counter() - t0
-
-    # dense change of basis: one matrix block per class, matvec timed alone
-    t_setup = 0.0
-    t_matvec = 0.0
-    dense_parts = []
-    per_class = n
-    cands = list(enumerate_candidates(n))
-    for k in range(4):
-        t0 = time.perf_counter()
-        block = np.stack(
-            [densify_sum(cand) for kk, _, _, cand in cands[k * per_class : (k + 1) * per_class]]
-        ).conj()
-        t_setup += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        dense_parts.append(block @ v)
-        t_matvec += time.perf_counter() - t0
-        del block
-    dense_flat = np.concatenate(dense_parts)
-
-    disagreement = max(
-        float(np.abs(fast_flat - naive).max()),
-        float(np.abs(fast_flat - dense_flat).max()),
-    )
-    return (n, 4 * n, t_analyze, t_naive, t_matvec, t_setup, disagreement)
-
-
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
-
-
-def cmd_bench(args) -> int:
-    if any(n < 2 for n in args.n):
-        print("bench: every n must be at least 2", file=sys.stderr)
-        return 2
-    rows = []
-    ok = True
-    for n in args.n:
-        row = _bench_one(n)
-        rows.append(row)
-        _, _, t_fast, t_naive, t_dense, t_setup, disagreement = row
-        agree = disagreement <= 1e-9
-        ok &= agree
-        print(
-            f"n={n}: analyze={t_fast:.6f}s naive_loop={t_naive:.6f}s "
-            f"dense_matvec={t_dense:.6f}s (setup {t_setup:.3f}s) "
-            f"max_disagreement={disagreement:.2e} "
-            f"fast_beats_dense={t_fast < t_dense}"
-        )
-    if args.out:
-        write_bench_csv(args.out, rows)
-        print(f"wrote {args.out}")
-    return 0 if ok else 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfteig",
@@ -316,11 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument(
-        "--no-normalize",
-        action="store_true",
-        help="export raw (unnormalized) dense entries",
-    )
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_build)
 
@@ -342,11 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV report path")
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_survey)
-
-    p = sub.add_parser("bench", help="time the fast path against the slow ones")
-    p.add_argument("--n", type=int, nargs="+", required=True)
-    p.add_argument("--out", default=None, help="CSV timing path")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

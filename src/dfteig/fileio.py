@@ -4,14 +4,16 @@ Complex values are always written as separate decimal re/im fields, never
 as "a+bj" strings.  Floats are serialized with repr(), which round-trips
 exactly, so re-exporting an imported basis reproduces the file bit for bit.
 
-Basis exports are format_version 1.  JSON goes out as one compact line,
-the text of json.dumps, encoded a record at a time by its C encoder, which
-runs about three times faster than the indented, pure-Python one; files
-written indented by earlier versions hold the same fields and import
-unchanged.  Import types and range-checks every record,
-refusing integer fields given as floats, strings or booleans and entry
-indices that repeat, then densifies and checks each eigenvalue class as
-one array against the class's projected trains.
+Basis exports are format_version 2: the header (n, eta1, eta2) and, per
+record, its label (k, a, b) and scale.  A record is the projected train
+P_k g_{eta1}(a, b), so a label fixes it and the scale, its norm, is the
+only number stored.  Import types and range-checks every label, refusing
+integer fields given as floats, strings or booleans, rebuilds each
+eigenvalue class's rows from the projection recipe, and checks each scale
+against its row's norm.  Version-1 files, written by earlier releases,
+also hold each record's four symbolic terms and its sparse unit (or raw)
+entries; they still import, with their terms and entries checked per
+class against the same rows, and entry indices that repeat refused.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .basis import BasisVectorRecord, EigenBasis
-from .numerics import DEFAULT_TOL, TolerancePolicy, omega_power
+from .numerics import DEFAULT_TOL, omega_power
 from .projection import TrainSum, _class_rows
 from .trains import DivisorPair, ModulatedDeltaTrain, eta_pair
 
@@ -35,16 +37,16 @@ __all__ = [
     "export_basis",
     "import_basis",
     "write_survey_csv",
-    "write_bench_csv",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-# Import refuses a record whose scale or term sum differs from its label's
-# projected train by more than this, relative to the train's norm, or whose
-# unit entries differ by more than this anywhere.  Exports drop entries below
-# their zero_tol (at most 1e-6), and renormalizing a raw export divides that
-# by the scale, so the limit leaves a factor of ten above 1e-6.
+# Import refuses a record whose scale or (version 1) term sum differs from its
+# label's projected train by more than this, relative to the train's norm,
+# or whose (version 1) unit entries differ by more than this anywhere.
+# Version-1 exports dropped entries below their zero_tol (at most 1e-6), and
+# renormalizing a raw export divides that by the scale, so the limit leaves
+# a factor of ten above 1e-6.
 _LABEL_TOL = 1e-5
 
 
@@ -94,46 +96,13 @@ def read_vector(path) -> np.ndarray:
 # basis exports
 
 
-def _vector_payload(rec: BasisVectorRecord, normalized: bool, zero_tol: float):
-    dense = rec.dense if normalized else rec.scale * rec.dense
-    index = np.flatnonzero(np.abs(dense) > zero_tol)
-    kept = dense[index]
-    # tolist() hands Python ints and floats to the encoder; tuples encode as lists
-    entries = list(zip(index.tolist(), kept.real.tolist(), kept.imag.tolist()))
-    terms = [
-        {
-            "n": train.n,
-            "d1": train.d1,
-            "a": train.a,
-            "b": train.b,
-            "coeff_re": float(coeff.real),
-            "coeff_im": float(coeff.imag),
-            "phase_re": float(train.phase.real),
-            "phase_im": float(train.phase.imag),
-        }
-        for coeff, train in rec.sum.terms
-    ]
-    return {
-        "k": rec.k,
-        "a": rec.a,
-        "b": rec.b,
-        "scale": float(rec.scale),
-        "terms": terms,
-        "entries": entries,
-    }
+def export_basis(basis: EigenBasis, path, fmt: str = "json") -> None:
+    """Write a basis as format_version 2: its header and one label per record.
 
-
-def export_basis(
-    basis: EigenBasis,
-    path,
-    fmt: str = "json",
-    normalized: bool = True,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> None:
-    """Write a basis with its labels, symbolic terms, and sparse entries.
-
-    `normalized=False` stores the raw (scale times unit) dense entries
-    instead; the importer renormalizes either way.
+    Each record is written as its label (k, a, b) and its `scale`, the norm
+    of the raw projected train P_k g_{eta1}(a, b); import rebuilds the unit
+    rows from the labels.  JSON is the text of one json.dumps call; CSV is
+    a `meta` row and one `vector` row per record.
     """
     header = {
         "format_version": FORMAT_VERSION,
@@ -141,25 +110,19 @@ def export_basis(
         "eta1": basis.eta.eta1,
         "eta2": basis.eta.eta2,
     }
-    vectors = (_vector_payload(rec, normalized, tol.zero_tol) for rec in basis.vectors)
+    vectors = [
+        {"k": rec.k, "a": rec.a, "b": rec.b, "scale": float(rec.scale)}
+        for rec in basis.vectors
+    ]
     if fmt == "json":
-        # The text of json.dumps({**header, "vectors": [...]}), one record per
-        # json.dumps call: the C encoder (json.dump and indent run the Python
-        # one) without holding the text of every record at once.
-        opening = json.dumps({**header, "vectors": []})[:-2]
+        text = json.dumps({**header, "vectors": vectors})
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(opening)
-            for pos, vec in enumerate(vectors):
-                fh.write((", " if pos else "") + json.dumps(vec))
-            fh.write("]}\n")
+            fh.write(text + "\n")
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh)  # floats are written with repr
             writer.writerow(["meta", *header.values()])
-            for vec in vectors:  # floats are written with repr
-                writer.writerow(["vector", vec["k"], vec["a"], vec["b"], vec["scale"]])
-                writer.writerows(["term", *t.values()] for t in vec["terms"])
-                writer.writerows(["entry", *entry] for entry in vec["entries"])
+            writer.writerows(["vector", *vec.values()] for vec in vectors)
     else:
         raise ValueError(f"unknown format {fmt!r} (expected 'json' or 'csv')")
 
@@ -172,16 +135,19 @@ def _integer(value, name: str) -> int:
 
 
 class _Parsed(NamedTuple):
-    """One record's fields, typed and range-checked but not yet densified."""
+    """One record's fields, typed and range-checked but not yet densified.
+
+    `sum` and `entries` are the stored terms and entries of a version-1
+    record, None in a version-2 one.
+    """
 
     label: tuple[int, int, int]
     scale: float
-    sum: TrainSum
-    entries: list
+    sum: Optional[TrainSum] = None
+    entries: Optional[list] = None
 
 
-def _parse_record(vec, eta: DivisorPair) -> _Parsed:
-    n = eta.n
+def _label(vec, eta: DivisorPair) -> tuple[int, int, int]:
     # labels index the change-of-basis tables, where a negative one would wrap
     k, a, b = (_integer(vec[key], key) for key in ("k", "a", "b"))
     if not (0 <= k <= 3 and 0 <= a < eta.eta1 and 0 <= b < eta.eta2):
@@ -189,6 +155,22 @@ def _parse_record(vec, eta: DivisorPair) -> _Parsed:
             f"label ({k}, {a}, {b}) out of range for "
             f"k < 4, a < {eta.eta1}, b < {eta.eta2}"
         )
+    return k, a, b
+
+
+def _parse_label_record(vec, eta: DivisorPair) -> _Parsed:
+    """A version-2 record: its label and scale."""
+    label = _label(vec, eta)
+    scale = vec["scale"]
+    if type(scale) not in (int, float):
+        raise ValueError(f"scale of label {label} must be a number, got {scale!r}")
+    return _Parsed(label, float(scale))
+
+
+def _parse_record(vec, eta: DivisorPair) -> _Parsed:
+    """A version-1 record: its label, scale, symbolic terms and sparse entries."""
+    n = eta.n
+    k, a, b = _label(vec, eta)
     if any(_integer(t["n"], "term n") != n for t in vec["terms"]):
         raise ValueError(f"a term of label ({k}, {a}, {b}) is not of dimension n={n}")
     terms = tuple(
@@ -286,14 +268,19 @@ def _class_entries(n: int, positions, parsed) -> np.ndarray:
 
 
 def _class_records(eta: DivisorPair, positions, parsed) -> list[BasisVectorRecord]:
-    """One class's records, densified as one array and checked against their labels.
+    """One class's records, rebuilt from their labels and checked against the file.
 
-    A record is refused when its scale, term sum or unit entries differ
-    from its label's projected train, row a*eta2 + b of _class_rows(n, k),
-    by more than _LABEL_TOL.
+    A label's row is row a*eta2 + b of _class_rows(n, k), the raw projected
+    train P_k g_{eta1}(a, b).  A record is refused when that projection
+    vanishes or when its scale differs from the row's norm by more than
+    _LABEL_TOL, relative.  A version-1 record keeps its stored entries as
+    its unit vector, and is also refused when its term sum or its unit
+    entries differ from the row by more than _LABEL_TOL; a version-2
+    record's unit vector is its normalized row.
     """
     n = eta.n
-    dense = _class_entries(n, positions, parsed)
+    stored = parsed[0].entries is not None
+    dense = _class_entries(n, positions, parsed) if stored else None
     k = parsed[0].label[0]
     ref = _class_rows(n, k)[[a * eta.eta2 + b for _, a, b in (p.label for p in parsed)]]
     ref_norm = np.linalg.norm(ref, axis=1)
@@ -303,12 +290,14 @@ def _class_records(eta: DivisorPair, positions, parsed) -> list[BasisVectorRecor
         raise ValueError(
             f"vector {positions[i]}: the projection of label {parsed[i].label} vanishes"
         )
+    units = ref / ref_norm[:, None]
     scales = np.array([p.scale for p in parsed])
-    errors = {
-        "scale": np.abs(scales - ref_norm) / ref_norm,
-        "terms": np.abs(_term_sums(n, parsed) - ref).max(axis=1) / ref_norm,
-        "entries": np.abs(dense - ref / ref_norm[:, None]).max(axis=1),
-    }
+    errors = {"scale": np.abs(scales - ref_norm) / ref_norm}
+    if stored:
+        errors["terms"] = np.abs(_term_sums(n, parsed) - ref).max(axis=1) / ref_norm
+        errors["entries"] = np.abs(dense - units).max(axis=1)
+    else:
+        dense = units
     for name, error in errors.items():
         bad = np.flatnonzero(~(error <= _LABEL_TOL))  # also refuses NaN
         if bad.size:
@@ -320,7 +309,7 @@ def _class_records(eta: DivisorPair, positions, parsed) -> list[BasisVectorRecor
     support = np.count_nonzero(np.abs(dense) > DEFAULT_TOL.zero_tol, axis=1).tolist()
     return [
         BasisVectorRecord(
-            k=k, a=p.label[1], b=p.label[2], sum=p.sum, dense=dense[i],
+            k=k, a=p.label[1], b=p.label[2], dense=dense[i],
             support=support[i], scale=p.scale,
         )
         for i, p in enumerate(parsed)
@@ -336,19 +325,30 @@ def _records_from_payload(payload, path) -> EigenBasis:
         raise ValueError(f"{path}: missing field {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: format_version {version!r} is not {FORMAT_VERSION}")
-    eta = DivisorPair(n=n, eta1=eta1, eta2=eta2)
-    if n < 1 or eta != eta_pair(n):
+    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
         raise ValueError(
-            f"{path}: ({eta.eta1}, {eta.eta2}) is not the divisor pair of n={n}"
+            f"{path}: format_version {version!r} is not 1 or {FORMAT_VERSION}"
         )
     if not isinstance(raw_vectors, list):
         raise ValueError(f"{path}: 'vectors' must be a list")
+    # Bounds n before eta_pair scans its divisors up to sqrt(n).  Every class
+    # holds at most n/4 + 1 vectors, so a file short by a whole class passes
+    # and verify reports it.
+    if not 1 <= n <= 4 * len(raw_vectors):
+        raise ValueError(
+            f"{path}: n={n} is not in [1, {4 * len(raw_vectors)}], four times "
+            f"its {len(raw_vectors)} records"
+        )
+    eta = DivisorPair(n=n, eta1=eta1, eta2=eta2)
+    if eta != eta_pair(n):
+        raise ValueError(
+            f"{path}: ({eta.eta1}, {eta.eta2}) is not the divisor pair of n={n}"
+        )
+    parse = _parse_record if version == 1 else _parse_label_record
     parsed = []
     for pos, vec in enumerate(raw_vectors):
         try:
-            parsed.append(_parse_record(vec, eta))
+            parsed.append(parse(vec, eta))
         except KeyError as exc:
             raise ValueError(f"{path}: vector {pos} lacks field {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:  # huge term labels overflow
@@ -469,21 +469,3 @@ def write_survey_csv(path, rows) -> None:
                     repr(witness[2].imag) if witness else "",
                 ]
             )
-
-
-def write_bench_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "n",
-                "candidates",
-                "analyze_s",
-                "naive_loop_s",
-                "dense_matvec_s",
-                "dense_setup_s",
-                "max_disagreement",
-            ]
-        )
-        for row in rows:
-            writer.writerow(row)

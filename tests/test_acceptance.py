@@ -29,7 +29,6 @@ from dfteig import (
     try_extend_rank,
     verify_eigenvector,
 )
-from dfteig.cli import _bench_one
 
 TOL = 1e-9
 
@@ -123,18 +122,6 @@ def test_criterion_7_fast_transform():
         if math.isqrt(n) ** 2 == n:
             assert abs(np.sum(np.abs(coeff) ** 2) - np.linalg.norm(v) ** 2) <= TOL
     print("PASS criterion 7: analyze matches inner-product loops; round-trip and Parseval hold")
-
-
-def test_criterion_7_benchmark_informational():
-    # informational, not a hard gate: correctness asserted, speed reported
-    n, _, t_fast, t_naive, t_dense, t_setup, disagreement = _bench_one(4096, repeats=3)
-    assert disagreement <= TOL
-    verdict = "faster" if t_fast < t_dense else "NOT faster"
-    print(
-        f"INFO criterion 7 benchmark: n={n} analyze={t_fast:.4f}s "
-        f"dense_matvec={t_dense:.4f}s (setup {t_setup:.2f}s) "
-        f"naive={t_naive:.2f}s -> fast path {verdict} than dense"
-    )
 
 
 def test_criterion_8_determinism(tmp_path):

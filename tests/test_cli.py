@@ -1,5 +1,8 @@
 import json
+import shutil
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +18,17 @@ from dfteig import (
 )
 from dfteig.cli import _oracle_pass, entrypoint, main
 
+DATA = Path(__file__).parent / "data"  # version-1 exports, for the version-1 reader
+V1_FIXTURES = ["basis16_v1.json", "basis16_v1.csv", "basis9_raw_v1.json"]
+
 
 def test_build_json(tmp_path, capsys):
     out = tmp_path / "b9.json"
     assert main(["build", "--n", "9", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["n"] == 9
+    assert (payload["format_version"], payload["n"]) == (2, 9)
     assert len(payload["vectors"]) == 9
+    assert all(set(vec) == {"k", "a", "b", "scale"} for vec in payload["vectors"])
     assert "wrote" in capsys.readouterr().out
 
 
@@ -34,7 +41,8 @@ def test_build_csv_sections(tmp_path):
     out = tmp_path / "b16.csv"
     assert main(["build", "--n", "16", "--format", "csv", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert sum(1 for line in lines if line.startswith("vector,")) == 16
+    assert lines[0] == "meta,2,16,4,4"
+    assert len(lines) == 17 and all(line.startswith("vector,") for line in lines[1:])
     basis = import_basis(out)
     assert basis.n == 16
 
@@ -87,6 +95,13 @@ def _built(tmp_path, fmt, *flags):
     return path
 
 
+def _v1_copy(tmp_path, fmt):
+    """The n=16 version-1 fixture, copied to the name _built gives."""
+    path = tmp_path / f"b16.{fmt}"
+    shutil.copy(DATA / f"basis16_v1.{fmt}", path)
+    return path
+
+
 def _set_entry(payload, value):
     payload["vectors"][3]["entries"][0][1] = value
 
@@ -115,13 +130,19 @@ def _repeat_entry(payload):
 
 JSON_EDITS = {
     "version 99": lambda p: p.update(format_version=99),
+    "version 3": lambda p: p.update(format_version=3),
     "no version": lambda p: p.pop("format_version"),
     "no k": lambda p: p["vectors"][3].pop("k"),
     "no terms": lambda p: p["vectors"][3].pop("terms"),
     "no scale": lambda p: p["vectors"][3].pop("scale"),
     "vectors not a list": lambda p: p.update(vectors={"k": 0}),
-    "vector not a record": lambda p: p.update(vectors=[7]),
+    "vector not a record": lambda p: p["vectors"].__setitem__(0, 7),
     "doubled scale": lambda p: p["vectors"][3].update(scale=2 * p["vectors"][3]["scale"]),
+    "NaN scale": lambda p: p["vectors"][3].update(scale=float("nan")),
+    "scale as a string": lambda p: p["vectors"][3].update(scale="1.0"),
+    "b out of range": lambda p: p["vectors"][3].update(b=4),
+    # P_3 g_4(0, 0) = 0 at n=16
+    "vanishing label": lambda p: _first_record(p, "k", 3).update(a=0, b=0),
     "altered term": lambda p: p["vectors"][3]["terms"][1].update(coeff_re=0.3),
     "altered entry": lambda p: _set_entry(p, 0.3),
     "n not an integer": lambda p: p.update(n=16.5),
@@ -131,11 +152,16 @@ JSON_EDITS = {
     "entry index not an integer": _half_index,
     "repeated entry index": _repeat_entry,
 }
+# edits of the terms and entries that only version-1 files hold
+V1_EDITS = {
+    "altered entry", "altered term", "entry index not an integer", "no terms",
+    "repeated entry index", "term a not an integer",
+}
 
 
 @pytest.mark.parametrize("edit", sorted(JSON_EDITS))
 def test_verify_refuses_bad_json_record(tmp_path, capsys, edit):
-    path = _built(tmp_path, "json")
+    path = _v1_copy(tmp_path, "json") if edit in V1_EDITS else _built(tmp_path, "json")
     payload = json.loads(path.read_text())
     JSON_EDITS[edit](payload)
     path.write_text(json.dumps(payload))
@@ -155,7 +181,7 @@ CSV_EDITS = {
 
 @pytest.mark.parametrize("edit", sorted(CSV_EDITS))
 def test_verify_refuses_bad_csv_record(tmp_path, capsys, edit):
-    path = _built(tmp_path, "csv")
+    path = _v1_copy(tmp_path, "csv") if edit in V1_EDITS else _built(tmp_path, "csv")
     rows = [line.split(",") for line in path.read_text().splitlines()]
     kind, occurrence, column, change = CSV_EDITS[edit]
     row = [row for row in rows if row[0] == kind][occurrence]
@@ -169,15 +195,29 @@ def test_verify_refuses_bad_csv_record(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize(
-    "flags",
-    [(), ("--no-normalize",), ("--tol", "1e-6"), ("--no-normalize", "--tol", "1e-6")],
-)
+@pytest.mark.parametrize("flags", [(), ("--tol", "1e-6")])
 def test_verify_accepts_valid_exports(tmp_path, capsys, fmt, flags):
     path = _built(tmp_path, fmt, *flags)
-    tol_flags = [flag for flag in flags if flag != "--no-normalize"]
-    assert main(["verify", "--input", str(path), *tol_flags]) == 0
+    assert main(["verify", "--input", str(path), *flags]) == 0
     assert "all checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", V1_FIXTURES)
+def test_verify_accepts_version_1_files(capsys, name):
+    assert main(["verify", "--input", str(DATA / name)]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_verify_refuses_huge_n_at_once(tmp_path, capsys, version):
+    path = _v1_copy(tmp_path, "json") if version == 1 else _built(tmp_path, "json")
+    payload = json.loads(path.read_text())
+    payload["n"] = 10**30
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    assert main(["verify", "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "four times" in capsys.readouterr().err
 
 
 def test_verify_reports_missing_record(tmp_path, capsys):
@@ -192,6 +232,19 @@ def test_verify_reports_missing_record(tmp_path, capsys):
     assert len(verdicts) == 7  # the whole table is printed
     failing = {name for name, verdict in verdicts.items() if verdict == "FAIL"}
     assert failing == {"multiplicity-counts", "independent-rank"}
+    assert "CLAIM VIOLATION" in out
+
+
+def test_verify_fails_repeated_label(tmp_path, capsys):
+    path = _built(tmp_path, "json")
+    payload = json.loads(path.read_text())
+    payload["vectors"][4] = dict(payload["vectors"][3])
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()  # drop the build's output
+    assert main(["verify", "--input", str(path)]) == 1
+    out = capsys.readouterr().out
+    verdicts = dict(line.split()[:2] for line in out.splitlines()[1:-1])
+    assert verdicts["independent-rank"] == "FAIL"
     assert "CLAIM VIOLATION" in out
 
 
@@ -274,21 +327,11 @@ def test_survey_rejects_max_n_below_two(capsys):
     assert main(["survey", "--max-n", "1"]) == 2
 
 
-def test_bench_small(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--n", "16", "64", "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert printed.count("max_disagreement") == 2
-    assert len(out.read_text().splitlines()) == 3
-
-
-def test_bench_requires_ns():
-    assert main(["bench"]) == 2
-    assert main(["bench", "--n"]) == 2
-
-
 def test_bench_rejects_tiny_n(capsys):
+    # `bench` is not a command: argparse refuses it as a usage error
     assert main(["bench", "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "bench" in err
 
 
 def test_determinism_of_build_export(tmp_path):

@@ -140,7 +140,7 @@ def test_projection_recipe_matches_dft_train_chain(n):
 # analyze
 
 
-@pytest.mark.parametrize("n", [4, 9, 12, 16, 30, 36])
+@pytest.mark.parametrize("n", [4, 9, 12, 16, 30, 36, 240, 257])
 def test_analyze_matches_candidate_inner_products(n):
     v = random_vector(n, seed=n)
     tensor = analyze(v)

@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from dfteig import (
     verify_eigenvector,
     write_vector,
 )
+
+DATA = Path(__file__).parent / "data"  # version-1 exports, for the version-1 reader
 
 
 def test_vector_round_trip(tmp_path):
@@ -58,11 +62,8 @@ def test_basis_export_import_round_trip(tmp_path, fmt, n):
     assert back.labels() == basis.labels()
     assert back.per_class_counts == basis.per_class_counts
     for original, imported in zip(basis.vectors, back.vectors):
-        # entries above zero_tol round-trip bitwise; the export drops
-        # sub-tolerance cancellation dust, so equality elsewhere is loose
-        assert np.allclose(imported.dense, original.dense, atol=1e-9)
-        kept = imported.dense != 0
-        assert np.array_equal(imported.dense[kept], original.dense[kept])
+        # import rebuilds the rows from the same recipe the build used
+        assert np.array_equal(imported.dense, original.dense)
         assert imported.scale == original.scale
         assert imported.support == original.support
         for (c1, t1), (c2, t2) in zip(original.sum.terms, imported.sum.terms):
@@ -80,11 +81,9 @@ def test_reexport_is_bit_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_unnormalized_export_imports_to_unit_vectors(tmp_path):
+def test_unnormalized_export_imports_to_unit_vectors():
     basis = build_basis(9)
-    path = tmp_path / "raw.json"
-    export_basis(basis, path, normalized=False)
-    back = import_basis(path)
+    back = import_basis(DATA / "basis9_raw_v1.json")  # raw (scale times unit) entries
     for original, imported in zip(basis.vectors, back.vectors):
         assert abs(np.linalg.norm(imported.dense) - 1) <= 1e-12
         assert np.allclose(imported.dense, original.dense, atol=1e-12)
@@ -124,10 +123,13 @@ def test_corrupted_csv_reports_line(tmp_path):
     assert ":3:" in str(err.value)
 
 
-def _edited_export(tmp_path, edit):
-    basis = build_basis(12)  # eta = (3, 4)
+def _edited_export(tmp_path, edit, source=None):
+    """An n=12 export (eta = (3, 4)), or a copy of `source`, edited as basis.json."""
     path = tmp_path / "basis.json"
-    export_basis(basis, path)
+    if source is None:
+        export_basis(build_basis(12), path)
+    else:
+        shutil.copy(source, path)
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
@@ -146,8 +148,9 @@ def test_out_of_range_labels_rejected(tmp_path, key, value):
         else:
             vec[key] = value
 
+    source = DATA / "basis16_v1.json" if key == "term n" else None  # terms are version 1
     with pytest.raises(ValueError) as err:
-        import_basis(_edited_export(tmp_path, edit))
+        import_basis(_edited_export(tmp_path, edit, source))
     assert "basis.json" in str(err.value)
 
 
@@ -190,7 +193,7 @@ def test_indented_file_imports_like_compact(tmp_path, n):
 
 def test_csv_repeated_entry_index_rejected(tmp_path):
     path = tmp_path / "basis.csv"
-    export_basis(build_basis(12), path, fmt="csv")
+    shutil.copy(DATA / "basis16_v1.csv", path)
     lines = path.read_text().splitlines()
     first = next(i for i, line in enumerate(lines) if line.startswith("entry,"))
     index = lines[first].split(",")[1]
