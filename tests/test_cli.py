@@ -195,7 +195,8 @@ def test_verify_refuses_bad_csv_record(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("flags", [(), ("--tol", "1e-6")])
+# flags2 keeps its name from when flags1 was the retired --no-normalize case.
+@pytest.mark.parametrize("flags", [(), ("--tol", "1e-10"), ("--tol", "1e-6")])
 def test_verify_accepts_valid_exports(tmp_path, capsys, fmt, flags):
     path = _built(tmp_path, fmt, *flags)
     assert main(["verify", "--input", str(path), *flags]) == 0
