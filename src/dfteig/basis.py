@@ -144,13 +144,33 @@ class EigenBasis:
     _matrix: Optional[np.ndarray] = field(default=None, repr=False)
     _gram: Optional[np.ndarray] = field(default=None, repr=False)
     _reports: dict = field(default_factory=dict, repr=False)
-    _solver: Optional[np.ndarray] = field(default=None, repr=False)
+    _labels: Optional[tuple] = field(default=None, repr=False)
+    _solver: Optional[list] = field(default=None, repr=False)
 
     def labels(self) -> list[tuple[int, int, int]]:
         return [rec.label for rec in self.vectors]
 
     def scales(self) -> np.ndarray:
         return np.array([rec.scale for rec in self.vectors], dtype=np.float64)
+
+    def _label_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Class, flat tensor index (k*eta1 + a)*eta2 + b and scale per vector.
+
+        Built once, for the change of basis, which addresses the flattened
+        (4, eta1, eta2) correlation tensor by label.  Refuses a basis that
+        does not hold n vectors, such as a file missing a record: it cannot
+        span the space, so no coefficients would reconstruct a vector.
+        """
+        if self._labels is None:
+            if len(self.vectors) != self.n:
+                raise ValueError(
+                    f"basis holds {len(self.vectors)} vectors, expected n={self.n}; "
+                    "an incomplete basis cannot change basis"
+                )
+            k, a, b = np.array(self.labels(), dtype=np.intp).reshape(-1, 3).T
+            flat = (k * self.eta.eta1 + a) * self.eta.eta2 + b
+            self._labels = (k, flat, self.scales())
+        return self._labels
 
     def dense_matrix(self) -> np.ndarray:
         """Selected vectors stacked as rows, in label order."""

@@ -7,6 +7,7 @@ Exit codes: 0 every requested check passed, 1 a certified claim failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -215,6 +216,7 @@ def cmd_survey(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfteig",

@@ -94,17 +94,43 @@ def analyze(v) -> CorrelationTensor:
     return CorrelationTensor(n=n, eta=eta, values=values.reshape(phases.shape))
 
 
-def _label_indices(basis: EigenBasis):
-    ks = np.array([rec.k for rec in basis.vectors], dtype=np.intp)
-    aa = np.array([rec.a for rec in basis.vectors], dtype=np.intp)
-    bb = np.array([rec.b for rec in basis.vectors], dtype=np.intp)
-    return ks, aa, bb
-
-
 def _selected_correlations(tensor: CorrelationTensor, basis: EigenBasis) -> np.ndarray:
     """<v, u_m> for the unit basis vectors, read off the correlation tensor."""
-    ks, aa, bb = _label_indices(basis)
-    return tensor.values[ks, aa, bb] / basis.scales()
+    _, flat, scales = basis._label_arrays()
+    return tensor.values.reshape(-1)[flat] / scales
+
+
+def _class_solvers(basis: EigenBasis) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Positions and inverse Gram block of each class, computed once per basis.
+
+    Vectors of different classes are eigenvectors of the unitary DFT for
+    distinct eigenvalues, so the Gram is block-diagonal by class.  Each
+    block is indexed by its class's positions, which need not be contiguous
+    in an imported file.
+    """
+    if basis._solver is None:
+        classes, _, _ = basis._label_arrays()
+        gram = basis.gram_matrix()
+        solvers = []
+        for k in range(4):
+            pos = np.flatnonzero(classes == k)
+            # system matrix A[m, l] = <u_l, u_m> = gram[l, m]
+            try:
+                solvers.append((pos, np.linalg.inv(gram[np.ix_(pos, pos)].T)))
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(
+                    f"n={basis.n}: singular Gram system in class {k}; "
+                    "the basis is corrupted"
+                ) from exc
+        basis._solver = solvers
+    return basis._solver
+
+
+def _solve(solvers, rhs: np.ndarray) -> np.ndarray:
+    out = np.empty_like(rhs)
+    for pos, inverse in solvers:
+        out[pos] = inverse @ rhs[pos]
+    return out
 
 
 def to_coefficients(
@@ -113,10 +139,13 @@ def to_coefficients(
     """Expansion coefficients of v in the basis, in label order.
 
     For an orthogonal basis the coefficients are the selected correlation
-    entries.  Otherwise the Gram system is solved: its inverse is computed
-    once and cached on the basis, and the solution is sharpened by residual
+    entries.  Otherwise the Gram system is solved class by class: the Gram
+    is block-diagonal by class, so the inverse of each class's block is
+    computed once and cached on the basis, about n/4 rows each in place of
+    one n x n inverse.  The solution is then sharpened by residual
     correction through the fast synthesis path until the reconstruction
-    meets residual_tol.
+    meets residual_tol.  Raises ValueError for a basis that does not hold
+    n vectors.
     """
     arr = as_vector(v)
     if arr.size != basis.n:
@@ -124,22 +153,14 @@ def to_coefficients(
     coeff = _selected_correlations(analyze(arr), basis)
     if gram_report(basis, tol).is_orthogonal:
         return coeff
-    if basis._solver is None:
-        # system matrix A[m, l] = <u_l, u_m> = gram[l, m]
-        try:
-            basis._solver = np.linalg.inv(basis.gram_matrix().T)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                f"n={basis.n}: singular Gram system; the basis is corrupted"
-            ) from exc
-    solver = basis._solver
-    coeff = solver @ coeff
+    solvers = _class_solvers(basis)
+    coeff = _solve(solvers, coeff)
     norm = float(np.linalg.norm(arr))
     for _ in range(60):
         residual = arr - synthesize(coeff, basis)
         if float(np.linalg.norm(residual)) <= tol.residual_tol * max(norm, 1e-300):
             return coeff
-        coeff = coeff + solver @ _selected_correlations(analyze(residual), basis)
+        coeff = coeff + _solve(solvers, _selected_correlations(analyze(residual), basis))
     raise RuntimeError(
         f"n={basis.n}: coefficient solve failed to converge; "
         "the basis appears corrupted or numerically singular"
@@ -158,9 +179,10 @@ def synthesize(coefficients, basis: EigenBasis) -> np.ndarray:
     n = basis.n
     if coeffs.shape != (n,):
         raise ValueError(f"expected {n} coefficients, got shape {coeffs.shape}")
+    _, flat, scales = basis._label_arrays()
     eta, index, phases = _projection_recipe(n)
-    weights = np.zeros(phases.shape, dtype=np.complex128)
-    np.add.at(weights, _label_indices(basis), coeffs / basis.scales())
+    weights = np.zeros(4 * n, dtype=np.complex128)
+    np.add.at(weights, flat, coeffs / scales)  # repeated labels sum
     terms = (_CHARACTERS.T @ weights.reshape(4, n)).reshape(phases.shape) * phases
     grids = {s: np.zeros(n, dtype=np.complex128) for s in {eta.eta1, eta.eta2}}
     for j in range(4):  # each power maps the labels onto its grid bijectively

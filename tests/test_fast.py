@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from dfteig import (
+    DEFAULT_TOL,
     ModulatedDeltaTrain,
     analyze,
     build_basis,
@@ -10,7 +13,9 @@ from dfteig import (
     dft_train,
     enumerate_candidates,
     eta_pair,
+    export_basis,
     gram_report,
+    import_basis,
     inner,
     naive_dft,
     synthesize,
@@ -190,12 +195,83 @@ def test_sum_of_basis_vectors_gives_unit_coefficients(n):
     assert np.abs(coeff - 1).max() <= 1e-9
 
 
-@pytest.mark.parametrize("n", [4, 9, 12, 16, 25, 30, 36, 64, 41, 61, 103, 276])
+@pytest.mark.parametrize("n", range(1, 301))
 def test_round_trip(n):
     basis = build_basis(n)
     v = random_vector(n, seed=3 * n)
     coeff = to_coefficients(v, basis)
-    assert np.linalg.norm(synthesize(coeff, basis) - v) <= 1e-9 * np.linalg.norm(v)
+    limit = DEFAULT_TOL.residual_tol * np.linalg.norm(v)
+    assert np.linalg.norm(synthesize(coeff, basis) - v) <= limit
+    assert np.linalg.norm(coeff @ basis.dense_matrix() - v) <= limit
+
+
+@pytest.mark.parametrize("n", [12, 61, 103, 240, 276, 512])
+def test_coefficients_match_dense_solve(n):
+    basis = build_basis(n)
+    v = random_vector(n, seed=5 * n)
+    gram = basis.gram_matrix()
+    corr = basis.dense_matrix().conj() @ v  # <v, u_m>, without analyze
+    expected = np.linalg.solve(gram.T, corr)
+    # The Gram is block-diagonal by class, so its condition number kappa is
+    # the ratio of the extreme eigenvalues over the class blocks.  With unit
+    # rows U and U.T c = v exactly, a reconstruction residual r bounds the
+    # relative coefficient error by (|r| / |v|) * sqrt(kappa) <=
+    # residual_tol * sqrt(kappa); the dense LU solve adds up to n*eps*kappa.
+    classes = np.array([rec.k for rec in basis.vectors])
+    eigs = np.concatenate([
+        np.linalg.eigvalsh(gram[np.ix_(classes == k, classes == k)])
+        for k in range(4) if np.any(classes == k)
+    ])
+    kappa = eigs.max() / eigs.min()
+    bound = DEFAULT_TOL.residual_tol * np.sqrt(kappa) + n * np.finfo(float).eps * kappa
+    coeff = to_coefficients(v, basis)
+    assert np.linalg.norm(coeff - expected) <= bound * np.linalg.norm(expected)
+
+
+def _reexported(basis, tmp_path, edit):
+    """The basis written to a file, its record list edited, and read back."""
+    path = tmp_path / "basis.json"
+    export_basis(basis, path)
+    payload = json.loads(path.read_text())
+    payload["vectors"] = edit(payload["vectors"])
+    path.write_text(json.dumps(payload))
+    return import_basis(path)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_incomplete_basis_refused(n, tmp_path):
+    # the file still imports (n is within four times its record count)
+    basis = _reexported(build_basis(n), tmp_path, lambda vectors: vectors[:-1])
+    assert len(basis.vectors) == n - 1
+    with pytest.raises(ValueError, match="incomplete basis"):
+        to_coefficients(random_vector(n), basis)
+    with pytest.raises(ValueError, match="incomplete basis"):
+        synthesize(np.ones(n), basis)
+
+
+@pytest.mark.parametrize("n", [12, 16, 61, 240])
+def test_round_trip_with_records_shuffled_across_classes(n, tmp_path):
+    order = np.random.default_rng(n).permutation(n)
+    basis = _reexported(build_basis(n), tmp_path, lambda vectors: [vectors[i] for i in order])
+    classes = [rec.k for rec in basis.vectors]
+    assert classes != sorted(classes)
+    v = random_vector(n, seed=7 * n)
+    coeff = to_coefficients(v, basis)
+    limit = DEFAULT_TOL.residual_tol * np.linalg.norm(v)
+    assert np.linalg.norm(synthesize(coeff, basis) - v) <= limit
+    assert np.linalg.norm(coeff @ basis.dense_matrix() - v) <= limit
+
+
+def test_synthesize_sums_repeated_labels(tmp_path):
+    def repeat(vectors):
+        vectors[4] = dict(vectors[3])
+        return vectors
+
+    basis = _reexported(build_basis(12), tmp_path, repeat)
+    assert basis.vectors[3].label == basis.vectors[4].label
+    coeff = random_vector(12, seed=4)
+    dense = coeff @ basis.dense_matrix()
+    assert np.linalg.norm(synthesize(coeff, basis) - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 @pytest.mark.parametrize("n", [4, 9, 16, 25, 36])
