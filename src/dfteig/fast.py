@@ -133,6 +133,26 @@ def _solve(solvers, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit_exponent(arr: np.ndarray) -> int:
+    """e such that arr * 2**-e has a norm safe from over- and underflow.
+
+    0 when the norm already lies in [1e-150, 1e150], or arr is zero;
+    otherwise the binary exponent of its largest real or imaginary part.
+    """
+    squared = np.vdot(arr, arr).real  # reads inf or nan on overflow, 0 on underflow
+    if 1e-300 <= squared <= 1e300:
+        return 0
+    return int(np.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))[1])
+
+
+def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
+    """z * 2**e, exact wherever the result stays a normal float."""
+    out = np.empty(z.shape, dtype=np.complex128)
+    with np.errstate(over="ignore"):  # to_coefficients refuses an inf
+        out.real, out.imag = np.ldexp(z.real, e), np.ldexp(z.imag, e)
+    return out
+
+
 def to_coefficients(
     v, basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL
 ) -> np.ndarray:
@@ -144,12 +164,20 @@ def to_coefficients(
     computed once and cached on the basis, about n/4 rows each in place of
     one n x n inverse.  The solution is then sharpened by residual
     correction through the fast synthesis path until the reconstruction
-    meets residual_tol.  Raises ValueError for a basis that does not hold
-    n vectors.
+    meets residual_tol.  Every step is linear, so a vector whose norm would
+    over- or underflow is solved at unit scale, by an exact power of two,
+    and the coefficients scaled back.  Raises ValueError for a basis that
+    does not hold n vectors, and for coefficients beyond the float range.
     """
     arr = as_vector(v)
     if arr.size != basis.n:
         raise ValueError(f"dimension mismatch: vector {arr.size} vs basis {basis.n}")
+    e = _unit_exponent(arr)
+    if e:
+        coeff = _ldexp(to_coefficients(_ldexp(arr, -e), basis, tol), e)
+        if not np.all(np.isfinite(coeff)):
+            raise ValueError("the coefficients overflow the float range")
+        return coeff
     coeff = _selected_correlations(analyze(arr), basis)
     if gram_report(basis, tol).is_orthogonal:
         return coeff
@@ -158,7 +186,7 @@ def to_coefficients(
     norm = float(np.linalg.norm(arr))
     for _ in range(60):
         residual = arr - synthesize(coeff, basis)
-        if float(np.linalg.norm(residual)) <= tol.residual_tol * max(norm, 1e-300):
+        if float(np.linalg.norm(residual)) <= tol.residual_tol * norm:
             return coeff
         coeff = coeff + _solve(solvers, _selected_correlations(analyze(residual), basis))
     raise RuntimeError(

@@ -12,8 +12,11 @@ integer fields given as floats, strings or booleans, rebuilds each
 eigenvalue class's rows from the projection recipe, and checks each scale
 against its row's norm.  Version-1 files, written by earlier releases,
 also hold each record's four symbolic terms and its sparse unit (or raw)
-entries; they still import, with their terms and entries checked per
-class against the same rows, and entry indices that repeat refused.
+entries.  They still import: each record's terms are summed by the
+reference densify_sum and its entries are parsed into one unit row,
+refusing an index that is not an integer in [0, n) or that repeats, and
+both are checked against the same rows.  The stored entries stay the
+record's unit vector.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .basis import BasisVectorRecord, EigenBasis
-from .numerics import DEFAULT_TOL, omega_power
-from .projection import TrainSum, _class_rows
+from .numerics import DEFAULT_TOL
+from .projection import TrainSum, _class_rows, densify_sum
 from .trains import DivisorPair, ModulatedDeltaTrain, eta_pair
 
 __all__ = [
@@ -135,16 +138,16 @@ def _integer(value, name: str) -> int:
 
 
 class _Parsed(NamedTuple):
-    """One record's fields, typed and range-checked but not yet densified.
+    """One record's fields, typed and range-checked.
 
-    `sum` and `entries` are the stored terms and entries of a version-1
-    record, None in a version-2 one.
+    `sum` and `unit` are a version-1 record's stored terms, summed densely,
+    and its stored entries as one unit row; None in a version-2 record.
     """
 
     label: tuple[int, int, int]
     scale: float
-    sum: Optional[TrainSum] = None
-    entries: Optional[list] = None
+    sum: Optional[np.ndarray] = None
+    unit: Optional[np.ndarray] = None
 
 
 def _label(vec, eta: DivisorPair) -> tuple[int, int, int]:
@@ -168,11 +171,15 @@ def _parse_label_record(vec, eta: DivisorPair) -> _Parsed:
 
 
 def _parse_record(vec, eta: DivisorPair) -> _Parsed:
-    """A version-1 record: its label, scale, symbolic terms and sparse entries."""
+    """A version-1 record: its label, scale, summed terms and unit row.
+
+    Entries must be a non-empty list of [index, re, im], each index an
+    integer in [0, n) that does not repeat and each value a number.
+    """
     n = eta.n
-    k, a, b = _label(vec, eta)
+    label = _label(vec, eta)
     if any(_integer(t["n"], "term n") != n for t in vec["terms"]):
-        raise ValueError(f"a term of label ({k}, {a}, {b}) is not of dimension n={n}")
+        raise ValueError(f"a term of label {label} is not of dimension n={n}")
     terms = tuple(
         (
             complex(t["coeff_re"], t["coeff_im"]),
@@ -187,84 +194,31 @@ def _parse_record(vec, eta: DivisorPair) -> _Parsed:
         for t in vec["terms"]
     )
     entries = vec["entries"]
-    if not entries:
-        raise ValueError(f"label ({k}, {a}, {b}) has empty entries")
-    if set(map(len, entries)) != {3}:
-        raise ValueError(f"entries of label ({k}, {a}, {b}) are not [index, re, im]")
-    return _Parsed((k, a, b), float(vec["scale"]), TrainSum(n=n, terms=terms), entries)
-
-
-def _term_sums(n: int, parsed: list[_Parsed]) -> np.ndarray:
-    """Each record's stored terms summed densely, one scatter per stride.
-
-    A train of stride d1 has entries coeff * phase * w**(-b*t) / sqrt(d2)
-    at t = a + d1*m; two terms of one record may share positions, so the
-    scatter accumulates.
-    """
-    sums = np.zeros((len(parsed), n), dtype=np.complex128)
-    terms = [(i, c, g) for i, p in enumerate(parsed) for c, g in p.sum.terms]
-    if not terms:
-        return sums
-    owner = np.array([i for i, _, _ in terms])
-    weight = np.array([c * g.phase for _, c, g in terms])
-    d1, a, b = np.array([(g.d1, g.a, g.b) for _, _, g in terms]).T
-    for s in set(d1.tolist()):  # np.unique would import numpy.ma, about 1 MiB
-        sel = d1 == s
-        d = n // s
-        t = a[sel, None] + s * np.arange(d)
-        values = (weight[sel, None] / math.sqrt(d)) * omega_power(n, -b[sel, None] * t)
-        np.add.at(sums, (owner[sel, None], t), values)
-    return sums
-
-
-def _first_off_type(column, types: set) -> Optional[int]:
-    """Position of the first value whose type is not one of `types`, or None."""
-    if set(map(type, column)) <= types:
-        return None
-    return next(j for j, v in enumerate(column) if type(v) not in types)
-
-
-def _class_entries(n: int, positions, parsed) -> np.ndarray:
-    """The records' [index, re, im] entries scattered into one (records, n) array.
-
-    Refuses an entry index that is not an integer in [0, n) or that repeats
-    within its record, and a value that is not a number.  Each row is scaled
-    to unit norm unless it already has it (a raw export).
-    """
-    m = len(parsed)
-    rows = [row for p in parsed for row in p.entries]
-    owner = np.repeat(np.arange(m), [len(p.entries) for p in parsed])
-
-    def refuse(j, message):
-        return ValueError(f"vector {positions[owner[j]]}: {message}")
-
-    col_index, col_re, col_im = zip(*rows)
-    j = _first_off_type(col_index, {int})
-    if j is not None:
-        raise refuse(j, f"entry index {col_index[j]!r} is not an integer")
-    for column in (col_re, col_im):
-        j = _first_off_type(column, {int, float})
-        if j is not None:
-            raise refuse(j, f"entry value {column[j]!r} is not a number")
-    index = np.array(col_index)
-    outside = np.flatnonzero((index < 0) | (index >= n))
-    if outside.size:
-        raise refuse(outside[0], f"entry index {col_index[outside[0]]} out of range")
-    key = owner * n + index.astype(np.intp)
-    repeats = np.flatnonzero(np.bincount(key, minlength=m * n)[key] > 1)
+    if type(entries) is not list or not entries:
+        raise ValueError(f"entries of label {label} are not a non-empty list: {entries!r}")
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {3}:
+        raise ValueError(f"entries of label {label} are not [index, re, im]")
+    index, re, im = zip(*entries)
+    for i in index:
+        if type(i) is not int:  # int() would truncate 3.5
+            raise ValueError(f"entry index {i!r} is not an integer")
+        if not 0 <= i < n:
+            raise ValueError(f"entry index {i} out of range")
+    for value in re + im:
+        if type(value) not in (int, float):
+            raise ValueError(f"entry value {value!r} is not a number")
+    index = np.array(index)
+    repeats = np.flatnonzero(np.bincount(index, minlength=n)[index] > 1)
     if repeats.size:
-        raise refuse(repeats[0], f"entry index {col_index[repeats[0]]} repeated")
-    dense = np.zeros(m * n, dtype=np.complex128)
-    dense[key] = np.array(col_re, dtype=np.float64) + 1j * np.array(col_im, dtype=np.float64)
-    dense = dense.reshape(m, n)
-    norm = np.linalg.norm(dense, axis=1)
-    empty = np.flatnonzero(norm <= 0.0)
-    if empty.size:
-        i = empty[0]
-        raise ValueError(f"vector {positions[i]}: label {parsed[i].label} has empty entries")
-    raw = np.abs(norm - 1.0) > 1e-6  # raw export: undo the stored scale
-    dense[raw] /= norm[raw, None]
-    return dense
+        raise ValueError(f"entry index {index[repeats[0]]} repeated")
+    unit = np.zeros(n, dtype=np.complex128)
+    unit[index] = np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
+    norm = np.linalg.norm(unit)
+    if norm <= 0.0:
+        raise ValueError(f"label {label} has empty entries")
+    if abs(norm - 1.0) > 1e-6:  # raw export: undo the stored scale
+        unit /= norm
+    return _Parsed(label, float(vec["scale"]), densify_sum(TrainSum(n=n, terms=terms)), unit)
 
 
 def _class_records(eta: DivisorPair, positions, parsed) -> list[BasisVectorRecord]:
@@ -279,8 +233,6 @@ def _class_records(eta: DivisorPair, positions, parsed) -> list[BasisVectorRecor
     record's unit vector is its normalized row.
     """
     n = eta.n
-    stored = parsed[0].entries is not None
-    dense = _class_entries(n, positions, parsed) if stored else None
     k = parsed[0].label[0]
     ref = _class_rows(n, k)[[a * eta.eta2 + b for _, a, b in (p.label for p in parsed)]]
     ref_norm = np.linalg.norm(ref, axis=1)
@@ -290,14 +242,15 @@ def _class_records(eta: DivisorPair, positions, parsed) -> list[BasisVectorRecor
         raise ValueError(
             f"vector {positions[i]}: the projection of label {parsed[i].label} vanishes"
         )
-    units = ref / ref_norm[:, None]
+    dense = ref / ref_norm[:, None]
     scales = np.array([p.scale for p in parsed])
     errors = {"scale": np.abs(scales - ref_norm) / ref_norm}
-    if stored:
-        errors["terms"] = np.abs(_term_sums(n, parsed) - ref).max(axis=1) / ref_norm
-        errors["entries"] = np.abs(dense - units).max(axis=1)
-    else:
-        dense = units
+    if parsed[0].unit is not None:
+        sums = np.array([p.sum for p in parsed])
+        errors["terms"] = np.abs(sums - ref).max(axis=1) / ref_norm
+        stored = np.array([p.unit for p in parsed])
+        errors["entries"] = np.abs(stored - dense).max(axis=1)
+        dense = stored
     for name, error in errors.items():
         bad = np.flatnonzero(~(error <= _LABEL_TOL))  # also refuses NaN
         if bad.size:

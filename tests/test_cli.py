@@ -9,14 +9,17 @@ import pytest
 
 from dfteig import (
     DEFAULT_TOL,
+    EliminationState,
+    TolerancePolicy,
     build_basis,
     check_uncertainty,
     import_basis,
     read_vector,
+    try_extend_rank,
     verify_eigenvector,
     write_vector,
 )
-from dfteig.cli import _oracle_pass, entrypoint, main
+from dfteig.cli import _oracle_pass, _verify_checks, entrypoint, main
 
 DATA = Path(__file__).parent / "data"  # version-1 exports, for the version-1 reader
 V1_FIXTURES = ["basis16_v1.json", "basis16_v1.csv", "basis9_raw_v1.json"]
@@ -102,8 +105,8 @@ def _v1_copy(tmp_path, fmt):
     return path
 
 
-def _set_entry(payload, value):
-    payload["vectors"][3]["entries"][0][1] = value
+def _set_entry(payload, value, column=1):
+    payload["vectors"][3]["entries"][0][column] = value
 
 
 def _first_record(payload, key, value):
@@ -151,11 +154,21 @@ JSON_EDITS = {
     "k as a string": lambda p: _first_record(p, "k", 1).update(k="1"),
     "entry index not an integer": _half_index,
     "repeated entry index": _repeat_entry,
+    "entry index 16": lambda p: _set_entry(p, 16, column=0),
+    "entry index -1": lambda p: _set_entry(p, -1, column=0),
+    # the same values, typed as a string and as a boolean (0.0 becomes false)
+    "entry value a string": lambda p: _set_entry(p, repr(p["vectors"][3]["entries"][0][1])),
+    "entry value a boolean": lambda p: p["vectors"][0]["entries"][0].__setitem__(2, False),
+    "entry not a triple": lambda p: p["vectors"][3]["entries"][0].append(0.0),
+    "empty entries": lambda p: p["vectors"][3].update(entries=[]),
+    "entries not a list": lambda p: p["vectors"][3].update(entries=7),
 }
 # edits of the terms and entries that only version-1 files hold
 V1_EDITS = {
     "altered entry", "altered term", "entry index not an integer", "no terms",
-    "repeated entry index", "term a not an integer",
+    "repeated entry index", "term a not an integer", "entry index 16",
+    "entry index -1", "entry value a string", "entry value a boolean",
+    "entry not a triple", "empty entries", "entries not a list",
 }
 
 
@@ -221,6 +234,18 @@ def test_verify_refuses_huge_n_at_once(tmp_path, capsys, version):
     assert "four times" in capsys.readouterr().err
 
 
+def _rank_check(basis, tol=DEFAULT_TOL):
+    """The independent-rank verdict and detail; the later checks do not run."""
+    return next((ok, d) for name, ok, d in _verify_checks(basis, tol) if name == "independent-rank")
+
+
+def _cgs2_rank(basis, tol=DEFAULT_TOL):
+    state = EliminationState(basis.n)
+    for rec in basis.vectors:
+        try_extend_rank(state, rec.dense, tol)
+    return state.rank
+
+
 def test_verify_reports_missing_record(tmp_path, capsys):
     path = _built(tmp_path, "json")
     payload = json.loads(path.read_text())
@@ -233,6 +258,7 @@ def test_verify_reports_missing_record(tmp_path, capsys):
     assert len(verdicts) == 7  # the whole table is printed
     failing = {name for name, verdict in verdicts.items() if verdict == "FAIL"}
     assert failing == {"multiplicity-counts", "independent-rank"}
+    assert "rank 15 of 16, " in out and _cgs2_rank(import_basis(path)) == 15
     assert "CLAIM VIOLATION" in out
 
 
@@ -246,7 +272,68 @@ def test_verify_fails_repeated_label(tmp_path, capsys):
     out = capsys.readouterr().out
     verdicts = dict(line.split()[:2] for line in out.splitlines()[1:-1])
     assert verdicts["independent-rank"] == "FAIL"
+    assert "rank 15 of 16, " in out and _cgs2_rank(import_basis(path)) == 15
     assert "CLAIM VIOLATION" in out
+
+
+def _swapped(value, rng):
+    """The value replaced by one of another JSON type (or by 7 or 0.5)."""
+    options = [str(value), [value], None, True, {"v": value}, 7, 0.5]
+    if type(value) in (int, float):
+        options.append(float(value) if type(value) is int else int(value))
+    return options[rng.integers(len(options))]
+
+
+def _fuzz_edit(payload, rng):
+    """Swap a value's type, drop a field, or repeat an entry of one record."""
+    vec = payload["vectors"][rng.integers(len(payload["vectors"]))]
+    kind = rng.integers(3)
+    if kind == 0:
+        entries = vec["entries"]
+        entry = list(entries[rng.integers(len(entries))])
+        if rng.integers(2):
+            entry[1] = float(rng.standard_normal())
+        entries.insert(rng.integers(len(entries) + 1), entry)
+        return
+    fields = [(payload, key) for key in payload] + [(vec, key) for key in vec]
+    fields += [(term, key) for term in vec["terms"] for key in term]
+    fields += [(entry, j) for entry in vec["entries"] for j in range(3)]
+    target, key = fields[rng.integers(len(fields))]
+    if kind == 1 and isinstance(target, dict):
+        del target[key]
+    else:
+        target[key] = _swapped(target[key], rng)
+
+
+@pytest.mark.parametrize("name,seed", [("basis16_v1.json", 16), ("basis9_raw_v1.json", 9)])
+def test_verify_survives_version_1_edits(tmp_path, capsys, name, seed):
+    text = (DATA / name).read_text()
+    path = tmp_path / name
+    rng = np.random.default_rng(seed)
+    codes = []
+    for i in range(150):
+        payload = json.loads(text)
+        _fuzz_edit(payload, rng)
+        path.write_text(json.dumps(payload))
+        try:
+            codes.append(main(["verify", "--input", str(path)]))
+        except Exception as exc:  # main must refuse, never raise
+            pytest.fail(f"edit {i} of {name} raised {exc!r}")
+    capsys.readouterr()
+    assert set(codes) <= {0, 2}
+    assert codes.count(2) > 100  # nearly every edit breaks the file
+
+
+@pytest.mark.parametrize(
+    "n,tol", [*((n, 1e-9) for n in [*range(1, 129), 240, 257, 276]), (41, 1e-6), (41, 1e-10)]
+)
+def test_rank_check_matches_cgs2(n, tol):
+    policy = TolerancePolicy(zero_tol=tol, residual_tol=tol)
+    basis = build_basis(n, policy)
+    rank = _cgs2_rank(basis, policy)
+    ok, detail = _rank_check(basis, policy)
+    assert ok == (rank == n)
+    assert detail.startswith(f"rank {rank} of {n}, smallest singular value ")
 
 
 @pytest.mark.parametrize("n", [*range(1, 129), 240, 257])
@@ -298,6 +385,24 @@ def test_analyze_wrong_length(tmp_path, capsys):
     )
     assert code == 2
     assert "expected n=9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e308])
+def test_analyze_residual_at_extreme_magnitudes(tmp_path, capsys, scale):
+    vec_path, out_path = tmp_path / "v.txt", tmp_path / "c.txt"
+    write_vector(vec_path, scale * np.array([1.0, -0.5, 0.25j]))
+    assert main(["analyze", "--n", "3", "--input", str(vec_path), "--out", str(out_path)]) == 0
+    assert np.all(np.isfinite(read_vector(out_path)))
+    residual = float(capsys.readouterr().out.split()[-1])  # "... round-trip residual R"
+    assert residual <= DEFAULT_TOL.residual_tol
+
+
+def test_analyze_refuses_coefficients_beyond_float_range(tmp_path, capsys):
+    vec_path, out_path = tmp_path / "v.txt", tmp_path / "c.txt"
+    write_vector(vec_path, np.full(3, 1.7e308))
+    assert main(["analyze", "--n", "3", "--input", str(vec_path), "--out", str(out_path)]) == 2
+    assert "overflow" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_analyze_unparseable_vector(tmp_path):

@@ -228,6 +228,21 @@ def test_coefficients_match_dense_solve(n):
     assert np.linalg.norm(coeff - expected) <= bound * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**600], ids=["1e200", "1e-200", "2**600"])
+@pytest.mark.parametrize("n", [136, 240])
+def test_to_coefficients_at_extreme_magnitudes(n, scale):
+    # ||v|| over- or underflows at these scales unless the solve rescales v
+    basis = build_basis(n)
+    v = random_vector(n, seed=n)
+    w = v * scale
+    coeff = to_coefficients(w, basis)
+    if scale == 2.0**600:  # a power of two scales every step exactly
+        assert np.array_equal(coeff, to_coefficients(v, basis) * scale)
+    unit = 2.0 ** -round(np.log2(scale))  # exact, and brings w to unit scale
+    residual = synthesize(coeff * unit, basis) - w * unit
+    assert np.linalg.norm(residual) <= DEFAULT_TOL.residual_tol * np.linalg.norm(w * unit)
+
+
 def _reexported(basis, tmp_path, edit):
     """The basis written to a file, its record list edited, and read back."""
     path = tmp_path / "basis.json"

@@ -201,3 +201,22 @@ def test_csv_repeated_entry_index_rejected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="repeated"):
         import_basis(path)
+
+
+def test_entries_not_a_list_named(tmp_path):
+    def edit(payload):
+        payload["vectors"][3]["entries"] = 7
+
+    path = _edited_export(tmp_path, edit, DATA / "basis16_v1.json")
+    with pytest.raises(ValueError, match=r"vector 3: entries of label .* not a non-empty list: 7"):
+        import_basis(path)
+
+
+def test_version_1_records_keep_their_stored_entries():
+    payload = json.loads((DATA / "basis16_v1.json").read_text())
+    basis = import_basis(DATA / "basis16_v1.json")
+    for vec, rec in zip(payload["vectors"], basis.vectors):
+        stored = np.zeros(16, dtype=np.complex128)
+        for index, re, im in vec["entries"]:
+            stored[index] = complex(re, im)
+        assert np.array_equal(rec.dense, stored)  # unit entries, not the rebuilt row
