@@ -2,14 +2,20 @@
 
 The 4n projected trains P_k g_{eta1}(a, b) contain n linearly independent
 eigenvectors.  Each class's n candidates are densified as one array from
-the closed-form projection recipe.  Scanning them in a fixed order (offset,
-then modulation) and keeping every candidate that extends the rank of its
-class (first fit) yields a deterministic basis whose supports sit between
-(eta1+eta2)/2 and 2*(eta1+eta2).  First fit is exactly independent but can
-be numerically singular (prime n), so each class whose condition number
-exceeds CONDITION_BOUND is re-selected by max-residual column pivoting
-over all of its nonzero candidates; the support bounds hold for every
-candidate, so they are unaffected.  The audits certify those bounds, the
+the closed-form projection recipe, the four classes sharing one gather of
+the DFT powers.  D**2 reverses a train, so the candidate with label
+(-a, -b) is a unit multiple of the one with (a, b); only the earlier of
+each such mirror pair enters the class's pool.  Scanning the pool in a
+fixed order (offset, then modulation) and keeping every candidate that
+extends the rank of its class (first fit, run as block CGS2) yields a
+deterministic basis whose supports sit between (eta1+eta2)/2 and
+2*(eta1+eta2).  First fit is exactly independent but can be numerically
+singular (prime n), so each class whose condition number exceeds
+CONDITION_BOUND is re-selected from its pool by max-residual column
+pivoting with deferred updates; the support bounds hold for every
+candidate, so they are unaffected.  Neither the pool nor the blocking
+changes a label: a later mirror never extends the rank and always loses
+the pivoting tie to its partner.  The audits certify those bounds, the
 eigenvalue multiplicities, the support/spectrum uncertainty constraints,
 and the orthogonality classification.
 """
@@ -25,14 +31,12 @@ import numpy as np
 
 from .numerics import (
     DEFAULT_TOL,
-    EliminationState,
     TolerancePolicy,
     VerificationError,
     as_vector,
     naive_dft,
-    try_extend_rank,
 )
-from .projection import TrainSum, _class_rows, project
+from .projection import TrainSum, _class_rows, _power_gathers, project
 from .trains import DivisorPair, ModulatedDeltaTrain, eta_pair
 
 # Largest 2-norm condition number allowed for one class's unit rows before
@@ -42,6 +46,10 @@ CONDITION_BOUND = 1e6
 # Pivot residuals within this relative margin of the largest count as tied,
 # so rounding in the last bits cannot decide which label is taken.
 _TIE_MARGIN = 1e-9
+# Pool rows per block of first fit, and pivots held back before pivoting
+# projects them out of every row.
+_BLOCK = 64
+_FLUSH = 32
 
 __all__ = [
     "CONDITION_BOUND",
@@ -192,79 +200,153 @@ def _ill_conditioned(units: np.ndarray) -> bool:
     return bool(sv[0] > CONDITION_BOUND * sv[-1])
 
 
+def _first_fit(
+    units: np.ndarray, pool: np.ndarray, count: int, tol: TolerancePolicy
+) -> list[int]:
+    """Indices into `pool` of its first `count` rows that extend the rank.
+
+    Block CGS2: each block of _BLOCK pool rows has the pivots accepted
+    before it projected out twice, as two matrix products per pass.  Each
+    row of the block is then measured against the pivots accepted inside
+    the block, again twice, and is accepted iff its residual norm exceeds
+    residual_tol times its own norm; its normalized residual becomes a pivot.
+    """
+    kept: list[int] = []
+    if not count:
+        return kept
+    pivots = np.empty((count, units.shape[1]), dtype=np.complex128)
+    conj = np.empty_like(pivots)  # conjugated pivots, so coefficients are plain products
+    for start in range(0, pool.size, _BLOCK):
+        block = units[pool[start:start + _BLOCK]]  # a copy: the block's residuals
+        limits = tol.residual_tol * np.linalg.norm(block, axis=1)
+        before = len(kept)
+        if before:
+            q, qc = pivots[:before], conj[:before].T
+            for _ in range(2):  # second pass mops up cancellation error
+                block -= (block @ qc) @ q
+        q = None  # the pivots accepted inside this block
+        for i, r in enumerate(block):  # r is a view: projected in place
+            if q is not None:
+                r -= (qc @ r) @ q
+                r -= (qc @ r) @ q
+            norm = math.sqrt(np.vdot(r, r).real)
+            if norm > limits[i]:
+                rank = len(kept)
+                np.divide(r, norm, out=pivots[rank])
+                np.conjugate(pivots[rank], out=conj[rank])
+                kept.append(start + i)
+                if rank + 1 == count:
+                    return kept
+                q, qc = pivots[before:rank + 1], conj[before:rank + 1]
+    return kept
+
+
 def _pivot_rows(units: np.ndarray, count: int, tol: TolerancePolicy) -> list[int]:
     """Businger-Golub max-residual pivoting: positions of up to `count` rows.
 
     Each step takes the row with the largest residual against the rows
     taken so far, the lowest position among residuals within _TIE_MARGIN of
-    the maximum, and projects its direction out of every row.  Stops early
-    when no residual exceeds residual_tol.  Returned in ascending order.
+    the maximum, and stops early when no residual exceeds residual_tol.
+    The projections are deferred: a step orthogonalizes its pivot against
+    the pivots still pending and downdates the squared residual norms by one
+    product of the rows with the pivot.  Every _FLUSH pivots, the pending
+    ones are projected out of all rows as one product, the rows taken so
+    far are dropped, since their residuals vanish, and the norms are
+    recomputed exactly.  Returned in ascending order.
     """
-    resid = units.copy()
-    flat = resid.view(np.float64)  # real and imaginary parts, for the norms
+    alive = np.arange(len(units))  # input positions of the rows still held
+    resid = units  # the caller's copy: overwritten with the residuals
+    pending = np.empty((_FLUSH, resid.shape[1]), dtype=np.complex128)
+    conj = np.empty_like(pending)  # conjugated pending pivots
+    coeffs = np.empty((_FLUSH, len(resid)), dtype=np.complex128)
+    held = 0
+    sq = _squared_norms(resid)
     chosen: list[int] = []
     for _ in range(count):
-        norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        norms = np.sqrt(np.maximum(sq, 0.0))
         top = float(norms.max())
         if top <= tol.residual_tol:
             break
         pos = int(np.argmax(norms >= top * (1.0 - _TIE_MARGIN)))
-        q = resid[pos] / norms[pos]
-        resid -= np.outer(resid @ q.conj(), q)
-        chosen.append(pos)
+        q = pending[:held]
+        r = resid[pos] - coeffs[:held, pos] @ q
+        r -= (conj[:held] @ r) @ q  # orthogonal to the pending pivots
+        np.divide(r, np.linalg.norm(r), out=pending[held])
+        np.conjugate(pending[held], out=conj[held])
+        coeffs[held] = resid @ conj[held]
+        sq -= coeffs[held].real ** 2 + coeffs[held].imag ** 2
+        held += 1
+        chosen.append(int(alive[pos]))
+        if held == _FLUSH:
+            resid -= coeffs.T @ pending
+            keep = ~np.isin(alive, chosen)
+            alive, resid = alive[keep], resid[keep]
+            coeffs = np.empty((_FLUSH, len(resid)), dtype=np.complex128)
+            sq = _squared_norms(resid)
+            held = 0
     return sorted(chosen)
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each complex row."""
+    flat = rows.view(np.float64)  # real and imaginary parts
+    return np.einsum("ij,ij->i", flat, flat)
 
 
 def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
     """Deterministic selection of n independent projected trains.
 
-    Per class, densifies all n candidates as one array in scan order,
+    Per class, densifies all n candidates as one array in scan order (the
+    DFT powers' supports and roots are gathered once for all four classes),
     counts the ones whose projection vanished as zero candidates, and
-    normalizes the rest.  First fit keeps each unit row that extends the
-    rank of its class and stops at the class's known multiplicity.  First
-    fit guarantees exact independence but no margin: at prime n its rows
-    can be numerically singular.  So a class whose unit rows have a 2-norm
-    condition number above CONDITION_BOUND is re-selected from all its
-    nonzero candidates by max-residual pivoting, ties going to the earliest
-    candidate.  Records stay in scan order.  Raises if any class falls
-    short, which would indicate a bug rather than bad input.
+    normalizes the rest.  D**2 reverses a train, so P_k g(-a, -b) is a unit
+    multiple of P_k g(a, b): of each such mirror pair only the earlier row
+    enters the pool.  First fit would reject the later row, and pivoting
+    would find the two tied and take the earlier.  First fit (block CGS2,
+    see _first_fit) keeps each pool row that extends the rank of its class
+    and stops at the class's known multiplicity.  It guarantees exact
+    independence but no margin: at prime n its rows can be numerically
+    singular.  So a class whose unit rows have a 2-norm condition number
+    above CONDITION_BOUND is re-selected from its pool by max-residual
+    pivoting with deferred updates (see _pivot_rows), ties going to the
+    earliest candidate.  Records stay in scan order; each one's unit row is
+    a row of an array holding only its class's kept rows.  Raises if any
+    class falls short, which would indicate a bug rather than bad input.
     """
     eta = eta_pair(n)
     dims = multiplicities(n).dims
+    gathers = _power_gathers(n)
+    position = np.arange(n)  # row a*eta2 + b holds label (k, a, b)
+    a, b = np.divmod(position, eta.eta2)
+    mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)
     vectors: list[BasisVectorRecord] = []
     zeros = 0
     for k in range(4):
-        units = _class_rows(n, k)  # row a*eta2 + b holds label (k, a, b)
+        units = _class_rows(n, k, gathers=gathers)
         scale = np.linalg.norm(units, axis=1)
         nonzero = scale > tol.residual_tol
-        live = np.flatnonzero(nonzero)
-        zeros += n - live.size
+        zeros += n - int(np.count_nonzero(nonzero))
         units /= np.where(nonzero, scale, 1.0)[:, None]
-        state = EliminationState(n)
-        kept: list[int] = []
-        for i in live:
-            if len(kept) >= dims[k]:
-                break
-            if try_extend_rank(state, units[i], tol)[0]:
-                kept.append(int(i))
-        if kept and _ill_conditioned(units[kept]):
-            kept = live[_pivot_rows(units[live], dims[k], tol)].tolist()
-        if len(kept) != dims[k]:
+        pool = np.flatnonzero(nonzero & (mirror >= position))
+        kept = pool[_first_fit(units, pool, dims[k], tol)]
+        dense = units[kept]  # a copy: records must not pin the whole class array
+        if kept.size and _ill_conditioned(dense):
+            kept = pool[_pivot_rows(units[pool], dims[k], tol)]
+            dense = units[kept]
+        if kept.size != dims[k]:
             raise RuntimeError(
-                f"n={n}: eigenvalue class {k} reached rank {len(kept)} of "
+                f"n={n}: eigenvalue class {k} reached rank {kept.size} of "
                 f"{dims[k]}; the projected trains failed to span the class, "
                 "which indicates an implementation bug"
             )
-        for i in kept:
-            a, b = divmod(i, eta.eta2)
-            unit = units[i].copy()  # a view would pin the whole class array
-            vectors.append(
-                BasisVectorRecord(
-                    k=k, a=a, b=b, dense=unit,
-                    support=int(np.count_nonzero(np.abs(unit) > tol.zero_tol)),
-                    scale=float(scale[i]),
-                )
+        support = np.count_nonzero(np.abs(dense) > tol.zero_tol, axis=1).tolist()
+        vectors.extend(
+            BasisVectorRecord(
+                k=k, a=int(i) // eta.eta2, b=int(i) % eta.eta2, dense=dense[j],
+                support=support[j], scale=float(scale[i]),
             )
+            for j, i in enumerate(kept)
+        )
     return EigenBasis(
         n=n, eta=eta, vectors=vectors, per_class_counts=dims, zero_candidates=zeros
     )
@@ -323,15 +405,17 @@ def _divisors(n: int) -> list[int]:
     return small + large
 
 
-def _uncertainty_ok(n: int, s: int, sp: int) -> bool:
+def _uncertainty_ok(n: int, s: int, sp: int, divs: Optional[list[int]] = None) -> bool:
     """Integer form of the support-size constraints.
 
     s * sp >= n always, and whenever consecutive divisors d1 < d2 of n
-    bracket s, additionally sp * d1 * d2 >= n * (d1 + d2 - s).
+    bracket s, additionally sp * d1 * d2 >= n * (d1 + d2 - s).  `divs`, the
+    _divisors(n) list, lets a caller checking many vectors scan n once.
     """
     if s * sp < n:
         return False
-    divs = _divisors(n)
+    if divs is None:
+        divs = _divisors(n)
     for d1, d2 in zip(divs, divs[1:]):
         if d1 <= s <= d2 and sp * d1 * d2 < n * (d1 + d2 - s):
             return False

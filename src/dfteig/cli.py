@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .basis import (
+    _divisors,
     _uncertainty_ok,
     audit_sparsity,
     build_basis,
@@ -68,7 +69,8 @@ def _oracle_pass(basis, tol):
     limits = tol.zero_tol * norms[:, None]
     supports = np.count_nonzero(np.abs(mat) > limits, axis=1).tolist()
     spectral = np.count_nonzero(np.abs(spectra) > limits, axis=1).tolist()
-    verdicts = [_uncertainty_ok(basis.n, s, sp) for s, sp in zip(supports, spectral)]
+    divs = _divisors(basis.n)
+    verdicts = [_uncertainty_ok(basis.n, s, sp, divs) for s, sp in zip(supports, spectral)]
     lams = np.array([EIGENVALUES[rec.k] for rec in basis.vectors])
     spectra -= lams[:, None] * mat
     return np.linalg.norm(spectra, axis=1) / norms, verdicts

@@ -8,14 +8,15 @@ Basis exports are format_version 2: the header (n, eta1, eta2) and, per
 record, its label (k, a, b) and scale.  A record is the projected train
 P_k g_{eta1}(a, b), so a label fixes it and the scale, its norm, is the
 only number stored.  Import types and range-checks every label, refusing
-integer fields given as floats, strings or booleans, rebuilds each
-eigenvalue class's rows from the projection recipe, and checks each scale
-against its row's norm.  Version-1 files, written by earlier releases,
-also hold each record's four symbolic terms and its sparse unit (or raw)
-entries.  They still import: each record's terms are summed by the
-reference densify_sum and its entries are parsed into one unit row,
-refusing an index that is not an integer in [0, n) or that repeats, and
-both are checked against the same rows.  The stored entries stay the
+integer fields given as floats, strings or booleans, rebuilds the
+labelled rows of each eigenvalue class from the projection recipe, and
+checks each scale against its row's norm.  Version-1 files, written by
+earlier releases, also hold each record's four symbolic terms and its
+sparse unit (or raw) entries.  They still import: each record's terms,
+their real fields typed like the scale, are summed by the reference
+densify_sum and its entries are parsed into one unit row, refusing an
+index that is not an integer in [0, n) or that repeats, and both are
+checked against the same rows.  The stored entries stay the
 record's unit vector.
 """
 
@@ -161,38 +162,47 @@ def _label(vec, eta: DivisorPair) -> tuple[int, int, int]:
     return k, a, b
 
 
+def _number(value, name: str) -> float:
+    """A real field, refused when it is a string or a boolean."""
+    if type(value) not in (int, float):  # float() would accept "1.0" and True
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_label_record(vec, eta: DivisorPair) -> _Parsed:
     """A version-2 record: its label and scale."""
     label = _label(vec, eta)
-    scale = vec["scale"]
-    if type(scale) not in (int, float):
-        raise ValueError(f"scale of label {label} must be a number, got {scale!r}")
-    return _Parsed(label, float(scale))
+    return _Parsed(label, _number(vec["scale"], f"scale of label {label}"))
+
+
+# a version-1 term's real fields: its coefficient, then its phase
+_TERM_PARTS = ("coeff_re", "coeff_im", "phase_re", "phase_im")
 
 
 def _parse_record(vec, eta: DivisorPair) -> _Parsed:
     """A version-1 record: its label, scale, summed terms and unit row.
 
-    Entries must be a non-empty list of [index, re, im], each index an
-    integer in [0, n) that does not repeat and each value a number.
+    The scale and each term's coeff and phase parts must be numbers, not
+    strings or booleans.  Entries must be a non-empty list of [index, re,
+    im], each index an integer in [0, n) that does not repeat and each
+    value a number.
     """
     n = eta.n
     label = _label(vec, eta)
     if any(_integer(t["n"], "term n") != n for t in vec["terms"]):
         raise ValueError(f"a term of label {label} is not of dimension n={n}")
-    terms = tuple(
-        (
-            complex(t["coeff_re"], t["coeff_im"]),
-            ModulatedDeltaTrain(
-                n=n,
-                d1=_integer(t["d1"], "term d1"),
-                a=_integer(t["a"], "term a"),
-                b=_integer(t["b"], "term b"),
-                phase=complex(t["phase_re"], t["phase_im"]),
-            ),
+    scale = _number(vec["scale"], f"scale of label {label}")
+    terms = []
+    for t in vec["terms"]:
+        parts = [_number(t[key], f"term {key}") for key in _TERM_PARTS]
+        train = ModulatedDeltaTrain(
+            n=n,
+            d1=_integer(t["d1"], "term d1"),
+            a=_integer(t["a"], "term a"),
+            b=_integer(t["b"], "term b"),
+            phase=complex(*parts[2:]),
         )
-        for t in vec["terms"]
-    )
+        terms.append((complex(*parts[:2]), train))
     entries = vec["entries"]
     if type(entries) is not list or not entries:
         raise ValueError(f"entries of label {label} are not a non-empty list: {entries!r}")
@@ -218,23 +228,24 @@ def _parse_record(vec, eta: DivisorPair) -> _Parsed:
         raise ValueError(f"label {label} has empty entries")
     if abs(norm - 1.0) > 1e-6:  # raw export: undo the stored scale
         unit /= norm
-    return _Parsed(label, float(vec["scale"]), densify_sum(TrainSum(n=n, terms=terms)), unit)
+    return _Parsed(label, scale, densify_sum(TrainSum(n=n, terms=tuple(terms))), unit)
 
 
 def _class_records(eta: DivisorPair, positions, parsed) -> list[BasisVectorRecord]:
     """One class's records, rebuilt from their labels and checked against the file.
 
     A label's row is row a*eta2 + b of _class_rows(n, k), the raw projected
-    train P_k g_{eta1}(a, b).  A record is refused when that projection
-    vanishes or when its scale differs from the row's norm by more than
-    _LABEL_TOL, relative.  A version-1 record keeps its stored entries as
-    its unit vector, and is also refused when its term sum or its unit
-    entries differ from the row by more than _LABEL_TOL; a version-2
-    record's unit vector is its normalized row.
+    train P_k g_{eta1}(a, b); only the labelled rows are densified.  A
+    record is refused when that projection vanishes or when its scale
+    differs from the row's norm by more than _LABEL_TOL, relative.  A
+    version-1 record keeps its stored entries as its unit vector, and is
+    also refused when its term sum or its unit entries differ from the row
+    by more than _LABEL_TOL; a version-2 record's unit vector is its
+    normalized row.
     """
     n = eta.n
     k = parsed[0].label[0]
-    ref = _class_rows(n, k)[[a * eta.eta2 + b for _, a, b in (p.label for p in parsed)]]
+    ref = _class_rows(n, k, [a * eta.eta2 + b for _, a, b in (p.label for p in parsed)])
     ref_norm = np.linalg.norm(ref, axis=1)
     vanishing = np.flatnonzero(~(ref_norm > DEFAULT_TOL.residual_tol))
     if vanishing.size:

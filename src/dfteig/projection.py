@@ -140,24 +140,46 @@ def _projection_recipe(n: int):
     return eta, index, phases
 
 
-def _class_rows(n: int, k: int) -> np.ndarray:
-    """The n raw class-k candidates as the rows of one (n, n) array.
+def _power_gathers(n: int, select=None) -> list:
+    """Per DFT power j, where the selected trains land: shared by all four classes.
 
-    Row a*eta2 + b is densify_sum(project(k, g_{eta1}(a, b))), so the rows
-    run in scan order.  Power j of every train is the unit train of stride
-    s at its recipe position x*(n/s) + y, with entries w**(-y*t)/sqrt(n/s)
-    on t = x (mod s); each power is scattered into all rows at once.
+    Power j of every train is the unit train of stride s at its recipe
+    position x*(n/s) + y, with entries w**(-y*t)/sqrt(n/s) on t = x (mod s).
+    For each j this returns the d = n/s support positions t of each selected
+    row, their roots w**(-y*t), the row's recipe phase and d.  `select`
+    lists rows a*eta2 + b; None selects all n, in scan order.
     """
     eta, index, phases = _projection_recipe(n)
     roots = omega_power(n, -np.arange(n))  # roots[e] = w**(-e)
-    rows = np.zeros((n, n), dtype=np.complex128)
-    labels = np.arange(n)[:, None]
+    rows = slice(None) if select is None else np.asarray(select, dtype=np.intp)
+    gathers = []
     for j in range(4):
         s = _stride(eta, j)
         d = n // s
-        x, y = np.divmod(index[j].reshape(n, 1), d)
+        x, y = np.divmod(index[j].reshape(n, 1)[rows], d)
         t = x + s * np.arange(d)  # the d support positions of each row
-        weight = (_CHARACTERS[k, j] / math.sqrt(d)) * phases[j].reshape(n, 1)
-        # positions within one row are distinct, so buffered += is exact
-        rows[labels, t] += weight * roots[y * t % n]
+        gathers.append((t, roots[y * t % n], phases[j].reshape(n, 1)[rows], d))
+    return gathers
+
+
+def _class_rows(n: int, k: int, select=None, *, gathers=None) -> np.ndarray:
+    """The raw class-k candidates as the rows of one array, n of them by default.
+
+    Row a*eta2 + b is densify_sum(project(k, g_{eta1}(a, b))), so the rows
+    run in scan order; `select` keeps only the listed rows, in its order.
+    Each DFT power is weighted by its character and scattered into all rows
+    at once.  `gathers`, the _power_gathers(n, select) of the same
+    selection, lets the four classes share one gather.
+    """
+    if gathers is None:
+        gathers = _power_gathers(n, select)
+    size = len(gathers[0][0])
+    rows = np.zeros((size, n), dtype=np.complex128)
+    labels = np.arange(size)[:, None]
+    for j, (t, root, phase, d) in enumerate(gathers):
+        weight = (_CHARACTERS[k, j] / math.sqrt(d)) * phase
+        if d == n:  # stride 1, as at prime n: every row's support is 0..n-1
+            rows += weight * root
+        else:  # positions within one row are distinct, so buffered += is exact
+            rows[labels, t] += weight * root
     return rows

@@ -11,6 +11,7 @@ from dfteig import (
     check_uncertainty,
     densify_sum,
     enumerate_candidates,
+    eta_pair,
     gram_report,
     multiplicities,
     orthogonality_survey,
@@ -18,7 +19,9 @@ from dfteig import (
     try_extend_rank,
     verify_eigenvector,
 )
-from dfteig.basis import CONDITION_BOUND, _divisors, _uncertainty_ok
+from dfteig.basis import _TIE_MARGIN, CONDITION_BOUND, _divisors, _uncertainty_ok
+from dfteig.numerics import TolerancePolicy
+from dfteig.projection import _class_rows
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +167,114 @@ def test_zero_candidates_count_every_vanishing_candidate(n):
 def test_build_basis_rejects_nonpositive():
     with pytest.raises(ValueError):
         build_basis(0)
+
+
+# ---------------------------------------------------------------------------
+# selection parity with the sequential references
+
+
+def _reference_first_fit(units, live, count, tol):
+    """One try_extend_rank per live row, in scan order, up to count rows."""
+    state = EliminationState(units.shape[1])
+    kept = []
+    for i in live:
+        if len(kept) >= count:
+            break
+        if try_extend_rank(state, units[i], tol)[0]:
+            kept.append(int(i))
+    return kept
+
+
+def _reference_pivot_rows(units, count, tol):
+    """Businger-Golub pivoting, three passes per step: norms, projection, update."""
+    resid = units.copy()
+    flat = resid.view(np.float64)
+    chosen = []
+    for _ in range(count):
+        norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        top = float(norms.max())
+        if top <= tol.residual_tol:
+            break
+        pos = int(np.argmax(norms >= top * (1.0 - _TIE_MARGIN)))
+        q = resid[pos] / norms[pos]
+        resid -= np.outer(resid @ q.conj(), q)
+        chosen.append(pos)
+    return sorted(chosen)
+
+
+def _reference_labels(n, tol):
+    """The selection over every nonzero candidate, mirrors included."""
+    dims = multiplicities(n).dims
+    labels = []
+    for k in range(4):
+        units = _class_rows(n, k)
+        scale = np.linalg.norm(units, axis=1)
+        nonzero = scale > tol.residual_tol
+        live = np.flatnonzero(nonzero)
+        units /= np.where(nonzero, scale, 1.0)[:, None]
+        kept = _reference_first_fit(units, live, dims[k], tol)
+        if kept:
+            sv = np.linalg.svd(units[kept], compute_uv=False)
+            if sv[0] > CONDITION_BOUND * sv[-1]:
+                kept = live[_reference_pivot_rows(units[live], dims[k], tol)].tolist()
+        labels.append((k, kept))
+    return labels
+
+
+PARITY_TOLS = [1e-6, 1e-9, 1e-10]
+
+
+@pytest.mark.parametrize("n", list(range(1, 129)) + [257, 509, 601])
+def test_build_basis_keeps_the_reference_rows(n):
+    # mirror pruning, block first fit and deferred pivoting change no label
+    for value in PARITY_TOLS:
+        tol = TolerancePolicy(zero_tol=value, residual_tol=value)
+        basis = build_basis(n, tol)
+        eta2 = basis.eta.eta2
+        reference = _reference_labels(n, tol)
+        expected = [(k, *divmod(i, eta2)) for k, kept in reference for i in kept]
+        assert basis.labels() == expected, value
+
+
+@pytest.mark.parametrize("n", range(1, 301))
+def test_pruned_rows_are_unit_multiples_of_their_mirrors(n):
+    eta = eta_pair(n)
+    a, b = np.divmod(np.arange(n), eta.eta2)
+    mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)
+    assert np.array_equal(mirror[mirror], np.arange(n))  # an involution
+    for k in range(4):
+        rows = _class_rows(n, k)
+        norms = np.linalg.norm(rows, axis=1)
+        for i in np.flatnonzero((mirror < np.arange(n)) & (norms > 1e-9)):
+            u, v = rows[i] / norms[i], rows[mirror[i]] / norms[mirror[i]]
+            phase = np.vdot(v, u)  # u = phase * v for a unit multiple
+            assert abs(abs(phase) - 1.0) <= 1e-12
+            assert np.abs(u - phase * v).max() <= 1e-12, (k, i)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 31, 36, 97, 128, 240])
+def test_class_rows_selection_is_bitwise_the_selected_rows(n):
+    rng = np.random.default_rng(n)
+    # a subset out of order, repeated rows, one row
+    selections = [rng.permutation(n)[: max(1, n // 3)], rng.integers(0, n, n + 2), [n - 1]]
+    for k in range(4):
+        full = _class_rows(n, k)
+        for select in selections:
+            part = _class_rows(n, k, select)
+            assert part.tobytes() == full[np.asarray(select)].tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 36, 103])
+def test_record_dense_holds_only_the_class_kept_rows(n):
+    basis = build_basis(n)
+    for k, count in enumerate(basis.per_class_counts):
+        recs = [rec for rec in basis.vectors if rec.k == k]
+        if not recs:
+            continue
+        base = recs[0].dense.base
+        assert base.shape == (count, n)
+        assert all(rec.dense.base is base for rec in recs)
+        assert np.array_equal(base, [rec.dense for rec in recs])
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,12 @@ JSON_EDITS = {
     "entry not a triple": lambda p: p["vectors"][3]["entries"][0].append(0.0),
     "empty entries": lambda p: p["vectors"][3].update(entries=[]),
     "entries not a list": lambda p: p["vectors"][3].update(entries=7),
+    # version-1 scales and term parts with their own values, typed wrongly
+    "v1 scale as a string": lambda p: p["vectors"][3].update(scale="0.5"),
+    "v1 scale a boolean": lambda p: p["vectors"][0].update(scale=True),  # 1.0
+    "term phase_re a boolean": lambda p: p["vectors"][3]["terms"][0].update(phase_re=True),
+    "term coeff_im a boolean": lambda p: p["vectors"][3]["terms"][0].update(coeff_im=False),
+    "term coeff_re a string": lambda p: p["vectors"][3]["terms"][0].update(coeff_re="0.25"),
 }
 # edits of the terms and entries that only version-1 files hold
 V1_EDITS = {
@@ -169,6 +175,8 @@ V1_EDITS = {
     "repeated entry index", "term a not an integer", "entry index 16",
     "entry index -1", "entry value a string", "entry value a boolean",
     "entry not a triple", "empty entries", "entries not a list",
+    "v1 scale as a string", "v1 scale a boolean", "term phase_re a boolean",
+    "term coeff_im a boolean", "term coeff_re a string",
 }
 
 
