@@ -18,6 +18,11 @@ changes a label: a later mirror never extends the rank and always loses
 the pivoting tie to its partner.  The audits certify those bounds, the
 eigenvalue multiplicities, the support/spectrum uncertainty constraints,
 and the orthogonality classification.
+
+A basis stores its unit rows once, as one (n, n) array in record order:
+each record's `dense` is a view of its row, and the array is the basis's
+dense_matrix().  build_basis and import both make their bases through
+_assemble, which counts supports and builds the records.
 """
 
 from __future__ import annotations
@@ -116,10 +121,11 @@ def enumerate_candidates(
 class BasisVectorRecord:
     """One selected eigenvector, the projected train P_k g_{eta1}(a, b).
 
-    The label (k, a, b) fixes the vector.  `dense` is unit-normalized;
-    `scale` is the norm of the raw projected train, so scale * dense
-    reproduces densify_sum(sum).  `sum`, the train's four-term symbolic
-    projection, is derived from the label on first read.
+    The label (k, a, b) fixes the vector.  `dense` is unit-normalized, a
+    row view of its basis's dense_matrix(); `scale` is the norm of the raw
+    projected train, so scale * dense reproduces densify_sum(sum).  `sum`,
+    the train's four-term symbolic projection, is derived from the label on
+    first read.
     """
 
     k: int
@@ -142,7 +148,7 @@ class BasisVectorRecord:
 
 @dataclass(eq=False)
 class EigenBasis:
-    """n selected eigenvectors grouped by class, with lazy derived caches."""
+    """n selected eigenvectors, their unit rows held once, with lazy derived caches."""
 
     n: int
     eta: DivisorPair
@@ -181,9 +187,7 @@ class EigenBasis:
         return self._labels
 
     def dense_matrix(self) -> np.ndarray:
-        """Selected vectors stacked as rows, in label order."""
-        if self._matrix is None:
-            self._matrix = np.stack([rec.dense for rec in self.vectors])
+        """The unit rows in record order: record i's `dense` is row i."""
         return self._matrix
 
     def gram_matrix(self) -> np.ndarray:
@@ -309,9 +313,10 @@ def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
     singular.  So a class whose unit rows have a 2-norm condition number
     above CONDITION_BOUND is re-selected from its pool by max-residual
     pivoting with deferred updates (see _pivot_rows), ties going to the
-    earliest candidate.  Records stay in scan order; each one's unit row is
-    a row of an array holding only its class's kept rows.  Raises if any
-    class falls short, which would indicate a bug rather than bad input.
+    earliest candidate.  Records stay in scan order.  Each class's kept rows
+    are taken straight into the basis's one (n, n) array of unit rows,
+    which _assemble turns into records.  Raises if any class falls short,
+    which would indicate a bug rather than bad input.
     """
     eta = eta_pair(n)
     dims = multiplicities(n).dims
@@ -319,7 +324,9 @@ def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
     position = np.arange(n)  # row a*eta2 + b holds label (k, a, b)
     a, b = np.divmod(position, eta.eta2)
     mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)
-    vectors: list[BasisVectorRecord] = []
+    rows = np.empty((n, n), dtype=np.complex128)  # the basis's unit rows
+    labels: list[tuple[int, int, int]] = []
+    scales: list[float] = []
     zeros = 0
     for k in range(4):
         units = _class_rows(n, k, gathers=gathers)
@@ -329,26 +336,40 @@ def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
         units /= np.where(nonzero, scale, 1.0)[:, None]
         pool = np.flatnonzero(nonzero & (mirror >= position))
         kept = pool[_first_fit(units, pool, dims[k], tol)]
-        dense = units[kept]  # a copy: records must not pin the whole class array
+        start = len(labels)
+        dense = np.take(units, kept, axis=0, out=rows[start:start + kept.size])
         if kept.size and _ill_conditioned(dense):
             kept = pool[_pivot_rows(units[pool], dims[k], tol)]
-            dense = units[kept]
+            np.take(units, kept, axis=0, out=rows[start:start + kept.size])
         if kept.size != dims[k]:
             raise RuntimeError(
                 f"n={n}: eigenvalue class {k} reached rank {kept.size} of "
                 f"{dims[k]}; the projected trains failed to span the class, "
                 "which indicates an implementation bug"
             )
-        support = np.count_nonzero(np.abs(dense) > tol.zero_tol, axis=1).tolist()
-        vectors.extend(
-            BasisVectorRecord(
-                k=k, a=int(i) // eta.eta2, b=int(i) % eta.eta2, dense=dense[j],
-                support=support[j], scale=float(scale[i]),
-            )
-            for j, i in enumerate(kept)
-        )
+        labels.extend((k, i // eta.eta2, i % eta.eta2) for i in kept.tolist())
+        scales.extend(scale[kept].tolist())
+    return _assemble(eta, labels, scales, rows, tol, zeros)
+
+
+def _assemble(
+    eta: DivisorPair, labels, scales, rows: np.ndarray, tol: TolerancePolicy, zero_candidates
+) -> EigenBasis:
+    """The basis whose record i has label labels[i], scale scales[i] and unit row rows[i].
+
+    The one assembly shared by build_basis and import: supports are counted
+    at zero_tol in one pass, each record's `dense` is a row view of `rows`,
+    and `rows`, in record order, is the basis's dense_matrix().
+    """
+    support = np.count_nonzero(np.abs(rows) > tol.zero_tol, axis=1).tolist()
+    vectors = [
+        BasisVectorRecord(k=k, a=a, b=b, dense=row, support=s, scale=scale)
+        for (k, a, b), scale, row, s in zip(labels, scales, rows, support)
+    ]
+    counts = np.bincount([label[0] for label in labels], minlength=4)
     return EigenBasis(
-        n=n, eta=eta, vectors=vectors, per_class_counts=dims, zero_candidates=zeros
+        n=eta.n, eta=eta, vectors=vectors, per_class_counts=tuple(counts.tolist()),
+        zero_candidates=zero_candidates, _matrix=rows,
     )
 
 
@@ -445,7 +466,8 @@ class GramReport:
 
     When the basis is not orthogonal, `witness` names a pair of selected
     vectors that is neither orthogonal nor collinear, with its inner
-    product.
+    product: the first such pair, in upper-triangle order, whose inner
+    product's modulus is within _TIE_MARGIN of the largest.
     """
 
     n: int
@@ -474,7 +496,8 @@ def gram_report(basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL) -> GramRe
         usable = (vals > tol.residual_tol) & (vals < 1.0 - tol.residual_tol)
         witness = None
         if np.any(usable):
-            pos = int(np.argmax(np.where(usable, vals, -1.0)))
+            vals = np.where(usable, vals, -1.0)  # the first pair tied at the largest wins
+            pos = int(np.argmax(vals >= vals.max() * (1.0 - _TIE_MARGIN)))
             i, j = int(iu[pos]), int(ju[pos])
             labels = basis.labels()
             witness = (labels[i], labels[j], complex(gram[i, j]))

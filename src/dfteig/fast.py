@@ -166,17 +166,25 @@ def to_coefficients(
     correction through the fast synthesis path until the reconstruction
     meets residual_tol.  Every step is linear, so a vector whose norm would
     over- or underflow is solved at unit scale, by an exact power of two,
-    and the coefficients scaled back.  Raises ValueError for a basis that
-    does not hold n vectors, and for coefficients beyond the float range.
+    and the coefficients scaled back; one synthesis at unit scale then
+    checks that they still reconstruct v to residual_tol, which coefficients
+    that land among the subnormal floats may not.  Raises ValueError for a
+    basis that does not hold n vectors, and for coefficients that overflow
+    the float range or underflow it that far.
     """
     arr = as_vector(v)
     if arr.size != basis.n:
         raise ValueError(f"dimension mismatch: vector {arr.size} vs basis {basis.n}")
     e = _unit_exponent(arr)
     if e:
-        coeff = _ldexp(to_coefficients(_ldexp(arr, -e), basis, tol), e)
+        unit = _ldexp(arr, -e)
+        coeff = _ldexp(to_coefficients(unit, basis, tol), e)
         if not np.all(np.isfinite(coeff)):
             raise ValueError("the coefficients overflow the float range")
+        back = synthesize(_ldexp(coeff, -e), basis)  # subnormal coefficients lose low bits
+        miss = float(np.linalg.norm(back - unit) / np.linalg.norm(unit))
+        if not miss <= tol.residual_tol:
+            raise ValueError(f"the coefficients underflow the float range (miss {miss:.2e})")
         return coeff
     coeff = _selected_correlations(analyze(arr), basis)
     if gram_report(basis, tol).is_orthogonal:

@@ -9,15 +9,17 @@ record, its label (k, a, b) and scale.  A record is the projected train
 P_k g_{eta1}(a, b), so a label fixes it and the scale, its norm, is the
 only number stored.  Import types and range-checks every label, refusing
 integer fields given as floats, strings or booleans, rebuilds the
-labelled rows of each eigenvalue class from the projection recipe, and
-checks each scale against its row's norm.  Version-1 files, written by
-earlier releases, also hold each record's four symbolic terms and its
-sparse unit (or raw) entries.  They still import: each record's terms,
-their real fields typed like the scale, are summed by the reference
-densify_sum and its entries are parsed into one unit row, refusing an
-index that is not an integer in [0, n) or that repeats, and both are
-checked against the same rows.  The stored entries stay the
-record's unit vector.
+labelled rows of all four eigenvalue classes from the projection recipe
+in one pass, in file order, and checks each scale against its row's
+norm.  Version-1 files, written by earlier releases, also hold each
+record's four symbolic terms and its sparse unit (or raw) entries.  They
+still import: each record's terms, their real fields typed like the
+scale, are summed by the reference densify_sum and its entries are
+parsed into one unit row, refusing an index that is not an integer in
+[0, n) or that repeats, and both are checked against the same rows.  The
+stored entries stay the record's unit vector.  The checked unit rows,
+one array in file order, become the basis through basis._assemble, the
+assembly build_basis also uses.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import BasisVectorRecord, EigenBasis
+from .basis import EigenBasis, _assemble
 from .numerics import DEFAULT_TOL
 from .projection import TrainSum, _class_rows, densify_sum
 from .trains import DivisorPair, ModulatedDeltaTrain, eta_pair
@@ -231,53 +233,46 @@ def _parse_record(vec, eta: DivisorPair) -> _Parsed:
     return _Parsed(label, scale, densify_sum(TrainSum(n=n, terms=tuple(terms))), unit)
 
 
-def _class_records(eta: DivisorPair, positions, parsed) -> list[BasisVectorRecord]:
-    """One class's records, rebuilt from their labels and checked against the file.
+def _unit_rows(eta: DivisorPair, parsed) -> np.ndarray:
+    """The records' unit rows, rebuilt from their labels and checked against the file.
 
     A label's row is row a*eta2 + b of _class_rows(n, k), the raw projected
-    train P_k g_{eta1}(a, b); only the labelled rows are densified.  A
-    record is refused when that projection vanishes or when its scale
-    differs from the row's norm by more than _LABEL_TOL, relative.  A
-    version-1 record keeps its stored entries as its unit vector, and is
-    also refused when its term sum or its unit entries differ from the row
-    by more than _LABEL_TOL; a version-2 record's unit vector is its
-    normalized row.
+    train P_k g_{eta1}(a, b); the labelled rows of every class come from
+    one gather and one scatter per DFT power.  A record is refused when
+    that projection vanishes or when its scale differs from the row's norm
+    by more than _LABEL_TOL, relative.  A version-1 record keeps its stored
+    entries as its unit vector, and is also refused when its term sum or
+    its unit entries differ from the row by more than _LABEL_TOL; a
+    version-2 record's unit vector is its normalized row.  Each check runs
+    over every record in file order, and the first record it refuses is
+    named.
     """
-    n = eta.n
-    k = parsed[0].label[0]
-    ref = _class_rows(n, k, [a * eta.eta2 + b for _, a, b in (p.label for p in parsed)])
-    ref_norm = np.linalg.norm(ref, axis=1)
-    vanishing = np.flatnonzero(~(ref_norm > DEFAULT_TOL.residual_tol))
+    k, a, b = np.array([p.label for p in parsed]).T
+    rows = _class_rows(eta.n, k, a * eta.eta2 + b)
+    norms = np.linalg.norm(rows, axis=1)
+    vanishing = np.flatnonzero(~(norms > DEFAULT_TOL.residual_tol))
     if vanishing.size:
         i = vanishing[0]
-        raise ValueError(
-            f"vector {positions[i]}: the projection of label {parsed[i].label} vanishes"
-        )
-    dense = ref / ref_norm[:, None]
+        raise ValueError(f"vector {i}: the projection of label {parsed[i].label} vanishes")
     scales = np.array([p.scale for p in parsed])
-    errors = {"scale": np.abs(scales - ref_norm) / ref_norm}
+    errors = {"scale": np.abs(scales - norms) / norms}
     if parsed[0].unit is not None:
         sums = np.array([p.sum for p in parsed])
-        errors["terms"] = np.abs(sums - ref).max(axis=1) / ref_norm
+        errors["terms"] = np.abs(sums - rows).max(axis=1) / norms
+    rows /= norms[:, None]
+    if parsed[0].unit is not None:
         stored = np.array([p.unit for p in parsed])
-        errors["entries"] = np.abs(stored - dense).max(axis=1)
-        dense = stored
+        errors["entries"] = np.abs(stored - rows).max(axis=1)
+        rows = stored
     for name, error in errors.items():
         bad = np.flatnonzero(~(error <= _LABEL_TOL))  # also refuses NaN
         if bad.size:
             i = bad[0]
             raise ValueError(
-                f"vector {positions[i]}: {name} of label {parsed[i].label} differ "
+                f"vector {i}: {name} of label {parsed[i].label} differ "
                 f"from its projected train by {error[i]:.2e} (limit {_LABEL_TOL:g})"
             )
-    support = np.count_nonzero(np.abs(dense) > DEFAULT_TOL.zero_tol, axis=1).tolist()
-    return [
-        BasisVectorRecord(
-            k=k, a=p.label[1], b=p.label[2], dense=dense[i],
-            support=support[i], scale=p.scale,
-        )
-        for i, p in enumerate(parsed)
-    ]
+    return rows
 
 
 def _records_from_payload(payload, path) -> EigenBasis:
@@ -317,19 +312,12 @@ def _records_from_payload(payload, path) -> EigenBasis:
             raise ValueError(f"{path}: vector {pos} lacks field {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:  # huge term labels overflow
             raise ValueError(f"{path}: vector {pos}: {exc}") from None
-    records = [None] * len(parsed)
-    for k in range(4):
-        positions = [pos for pos, p in enumerate(parsed) if p.label[0] == k]
-        if not positions:
-            continue
-        try:
-            checked = _class_records(eta, positions, [parsed[pos] for pos in positions])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        for pos, rec in zip(positions, checked):
-            records[pos] = rec
-    counts = tuple(sum(rec.k == k for rec in records) for k in range(4))
-    return EigenBasis(n=n, eta=eta, vectors=records, per_class_counts=counts)
+    try:
+        rows = _unit_rows(eta, parsed)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    labels, scales = [p.label for p in parsed], [p.scale for p in parsed]
+    return _assemble(eta, labels, scales, rows, DEFAULT_TOL, 0)
 
 
 # the typed columns after the row kind, in CSV order

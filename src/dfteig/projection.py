@@ -162,22 +162,25 @@ def _power_gathers(n: int, select=None) -> list:
     return gathers
 
 
-def _class_rows(n: int, k: int, select=None, *, gathers=None) -> np.ndarray:
+def _class_rows(n: int, k, select=None, *, gathers=None) -> np.ndarray:
     """The raw class-k candidates as the rows of one array, n of them by default.
 
     Row a*eta2 + b is densify_sum(project(k, g_{eta1}(a, b))), so the rows
     run in scan order; `select` keeps only the listed rows, in its order.
-    Each DFT power is weighted by its character and scattered into all rows
-    at once.  `gathers`, the _power_gathers(n, select) of the same
-    selection, lets the four classes share one gather.
+    `k` is one class for every row, or an array of one class per selected
+    row, so that rows of all four classes come out of one call.  Each DFT
+    power is weighted by its character and scattered into all rows at
+    once.  `gathers`, the _power_gathers(n, select) of the same selection,
+    lets the four classes share one gather.
     """
     if gathers is None:
         gathers = _power_gathers(n, select)
     size = len(gathers[0][0])
+    characters = np.reshape(_CHARACTERS[k], (-1, 4))  # one row, or one per selected row
     rows = np.zeros((size, n), dtype=np.complex128)
     labels = np.arange(size)[:, None]
     for j, (t, root, phase, d) in enumerate(gathers):
-        weight = (_CHARACTERS[k, j] / math.sqrt(d)) * phase
+        weight = (characters[:, j, None] / math.sqrt(d)) * phase
         if d == n:  # stride 1, as at prime n: every row's support is 0..n-1
             rows += weight * root
         else:  # positions within one row are distinct, so buffered += is exact

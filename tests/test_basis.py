@@ -12,7 +12,9 @@ from dfteig import (
     densify_sum,
     enumerate_candidates,
     eta_pair,
+    export_basis,
     gram_report,
+    import_basis,
     multiplicities,
     orthogonality_survey,
     support_bound,
@@ -257,24 +259,31 @@ def test_class_rows_selection_is_bitwise_the_selected_rows(n):
     rng = np.random.default_rng(n)
     # a subset out of order, repeated rows, one row
     selections = [rng.permutation(n)[: max(1, n // 3)], rng.integers(0, n, n + 2), [n - 1]]
-    for k in range(4):
-        full = _class_rows(n, k)
-        for select in selections:
+    full = [_class_rows(n, k) for k in range(4)]
+    for select in selections:
+        for k in range(4):
             part = _class_rows(n, k, select)
-            assert part.tobytes() == full[np.asarray(select)].tobytes()
+            assert part.tobytes() == full[k][np.asarray(select)].tobytes()
+        # one class per selected row, mixing all four in one call
+        ks = rng.integers(0, 4, len(select))
+        part = _class_rows(n, ks, select)
+        expected = np.array([full[k][i] for k, i in zip(ks, select)])
+        assert part.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 36, 103])
-def test_record_dense_holds_only_the_class_kept_rows(n):
-    basis = build_basis(n)
-    for k, count in enumerate(basis.per_class_counts):
-        recs = [rec for rec in basis.vectors if rec.k == k]
-        if not recs:
-            continue
-        base = recs[0].dense.base
-        assert base.shape == (count, n)
-        assert all(rec.dense.base is base for rec in recs)
-        assert np.array_equal(base, [rec.dense for rec in recs])
+def test_record_dense_is_a_row_of_the_basis_matrix(tmp_path, n):
+    # records pin the basis's one (n, n) array of unit rows, and no candidate array
+    built = build_basis(n)
+    path = tmp_path / "basis.json"
+    export_basis(built, path)
+    for basis in (built, import_basis(path)):
+        matrix = basis.dense_matrix()
+        assert matrix.shape == (n, n) and matrix.base is None
+        for i, rec in enumerate(basis.vectors):
+            assert rec.dense.base is matrix
+            assert rec.dense.ctypes.data == matrix[i].ctypes.data
+            assert rec.dense.shape == (n,)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +375,24 @@ def test_gram_report_n12_witness():
     assert 1e-9 < abs(value) < 1 - 1e-9
     # witnesses live inside one class: distinct classes are orthogonal
     assert label1[0] == label2[0]
+
+
+@pytest.mark.parametrize("n", range(2, 129))
+def test_gram_witness_is_the_first_pair_tied_at_the_largest(n):
+    # tied pairs differ in the last bits only, so the earliest is named
+    basis = build_basis(n)
+    report = gram_report(basis)
+    if report.is_orthogonal:
+        assert report.witness is None
+        return
+    gram, labels, tol = basis.gram_matrix(), basis.labels(), 1e-9
+    pairs = [
+        (abs(gram[i, j]), i, j) for i in range(n) for j in range(i + 1, n)
+        if tol < abs(gram[i, j]) < 1 - tol
+    ]
+    top = max(value for value, _, _ in pairs)
+    _, i, j = next(pair for pair in pairs if pair[0] >= top * (1 - _TIE_MARGIN))
+    assert report.witness == (labels[i], labels[j], complex(gram[i, j]))
 
 
 @pytest.mark.parametrize("n", range(2, 25))

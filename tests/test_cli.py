@@ -242,6 +242,47 @@ def test_verify_refuses_huge_n_at_once(tmp_path, capsys, version):
     assert "four times" in capsys.readouterr().err
 
 
+def _shuffled_across_classes(path, fmt, seed):
+    """The file at path with its records merged across classes at random.
+
+    Each class keeps its own record order, so the pairs within a class, where
+    the gram witness is found, keep their order too.
+    """
+    lines = path.read_text().splitlines()
+    if fmt == "json":
+        payload = json.loads(lines[0])
+        records, ks = payload["vectors"], [vec["k"] for vec in payload["vectors"]]
+    else:
+        records, ks = lines[1:], [int(line.split(",")[1]) for line in lines[1:]]
+    slots = np.random.default_rng(seed).permutation(ks)  # the class of each new slot
+    queues = {k: iter([rec for rec, rk in zip(records, ks) if rk == k]) for k in set(ks)}
+    merged = [next(queues[k]) for k in slots.tolist()]
+    if fmt == "json":
+        payload["vectors"] = merged
+        return json.dumps(payload) + "\n"
+    return "\n".join([lines[0], *merged]) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n", [12, 61, 240])
+def test_records_shuffled_across_classes_import_and_verify_alike(tmp_path, capsys, fmt, n):
+    path, shuffled = tmp_path / f"b.{fmt}", tmp_path / f"s.{fmt}"
+    assert main(["build", "--n", str(n), "--format", fmt, "--out", str(path)]) == 0
+    shuffled.write_text(_shuffled_across_classes(path, fmt, seed=n))
+    built = {rec.label: rec for rec in build_basis(n).vectors}
+    basis = import_basis(shuffled)
+    assert [rec.k for rec in basis.vectors] != sorted(rec.k for rec in basis.vectors)
+    for rec in basis.vectors:
+        twin = built[rec.label]
+        assert rec.dense.tobytes() == twin.dense.tobytes()
+        assert (rec.scale, rec.support) == (twin.scale, twin.support)
+    capsys.readouterr()  # drop the build's output
+    assert main(["verify", "--input", str(path)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["verify", "--input", str(shuffled)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def _rank_check(basis, tol=DEFAULT_TOL):
     """The independent-rank verdict and detail; the later checks do not run."""
     return next((ok, d) for name, ok, d in _verify_checks(basis, tol) if name == "independent-rank")
@@ -410,6 +451,16 @@ def test_analyze_refuses_coefficients_beyond_float_range(tmp_path, capsys):
     write_vector(vec_path, np.full(3, 1.7e308))
     assert main(["analyze", "--n", "3", "--input", str(vec_path), "--out", str(out_path)]) == 2
     assert "overflow" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_analyze_refuses_coefficients_below_normal_range(tmp_path, capsys):
+    vec_path, out_path = tmp_path / "v.txt", tmp_path / "c.txt"
+    rng = np.random.default_rng(61)
+    write_vector(vec_path, 1e-318 * (rng.standard_normal(61) + 1j * rng.standard_normal(61)))
+    argv = ["analyze", "--n", "61", "--input", str(vec_path), "--out", str(out_path)]
+    assert main(argv) == 2
+    assert "underflow" in capsys.readouterr().err
     assert not out_path.exists()
 
 

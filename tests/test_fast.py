@@ -243,6 +243,23 @@ def test_to_coefficients_at_extreme_magnitudes(n, scale):
     assert np.linalg.norm(residual) <= DEFAULT_TOL.residual_tol * np.linalg.norm(w * unit)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-310, 1e-318, 5e-324])
+@pytest.mark.parametrize("n", [3, 61, 136, 240, 576])
+def test_to_coefficients_refuses_coefficients_lost_below_normal_range(n, scale):
+    # scaled back by 1e-318 or less, the coefficients keep too few bits
+    basis = build_basis(n)
+    w = random_vector(n, seed=n) * scale
+    if scale < 1e-310:
+        with pytest.raises(ValueError, match="underflow the float range"):
+            to_coefficients(w, basis)
+        return
+    coeff = to_coefficients(w, basis)
+    e = -round(np.log2(scale))  # times 2**e, w is at unit scale; 2**1030 alone overflows
+    coeff, w = (np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e) for z in (coeff, w))
+    residual = synthesize(coeff, basis) - w
+    assert np.linalg.norm(residual) <= DEFAULT_TOL.residual_tol * np.linalg.norm(w)
+
+
 def _reexported(basis, tmp_path, edit):
     """The basis written to a file, its record list edited, and read back."""
     path = tmp_path / "basis.json"

@@ -220,3 +220,15 @@ def test_version_1_records_keep_their_stored_entries():
         for index, re, im in vec["entries"]:
             stored[index] = complex(re, im)
         assert np.array_equal(rec.dense, stored)  # unit entries, not the rebuilt row
+
+
+def test_bad_records_in_two_classes_name_the_first_in_file_order(tmp_path):
+    def edit(payload):
+        vectors = payload["vectors"]
+        vectors.insert(0, vectors.pop())  # the last class-3 record goes first
+        for pos in (0, 2):  # a class-3 and a class-0 record
+            vectors[pos]["scale"] *= 2
+
+    path = _edited_export(tmp_path, edit)
+    with pytest.raises(ValueError, match=r"basis.json: vector 0: scale of label \(3, "):
+        import_basis(path)
