@@ -11,15 +11,11 @@ only number stored.  Import types and range-checks every label, refusing
 integer fields given as floats, strings or booleans, rebuilds the
 labelled rows of all four eigenvalue classes from the projection recipe
 in one pass, in file order, and checks each scale against its row's
-norm.  Version-1 files, written by earlier releases, also hold each
-record's four symbolic terms and its sparse unit (or raw) entries.  They
-still import: each record's terms, their real fields typed like the
-scale, are summed by the reference densify_sum and its entries are
-parsed into one unit row, refusing an index that is not an integer in
-[0, n) or that repeats, and both are checked against the same rows.  The
-stored entries stay the record's unit vector.  The checked unit rows,
-one array in file order, become the basis through basis._assemble, the
-assembly build_basis also uses.
+norm.  The normalized rows, one array in file order, become the basis
+through basis._assemble, the assembly build_basis also uses.  Any other
+format_version is refused.  Version-1 files, which also stored each
+record's symbolic terms and sparse entries, are refused with the command
+that rebuilds them.
 """
 
 from __future__ import annotations
@@ -27,14 +23,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .basis import EigenBasis, _assemble
 from .numerics import DEFAULT_TOL
-from .projection import TrainSum, _class_rows, densify_sum
-from .trains import DivisorPair, ModulatedDeltaTrain, eta_pair
+from .projection import _class_rows
+from .trains import DivisorPair, eta_pair
 
 __all__ = [
     "FORMAT_VERSION",
@@ -47,13 +43,12 @@ __all__ = [
 
 FORMAT_VERSION = 2
 
-# Import refuses a record whose scale or (version 1) term sum differs from its
-# label's projected train by more than this, relative to the train's norm,
-# or whose (version 1) unit entries differ by more than this anywhere.
-# Version-1 exports dropped entries below their zero_tol (at most 1e-6), and
-# renormalizing a raw export divides that by the scale, so the limit leaves
-# a factor of ten above 1e-6.
-_LABEL_TOL = 1e-5
+# Import refuses a record whose scale differs from its label's projected
+# train's norm by more than this, relative.  A scale off by d makes the
+# orthogonal solve, which has no residual check, miss its input by 2d, so the
+# limit keeps that miss (2e-12) below the smallest --tol the tests use
+# (1e-10).  An export's scales are the norms import rebuilds, bit for bit.
+_LABEL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +135,6 @@ def _integer(value, name: str) -> int:
     return value
 
 
-class _Parsed(NamedTuple):
-    """One record's fields, typed and range-checked.
-
-    `sum` and `unit` are a version-1 record's stored terms, summed densely,
-    and its stored entries as one unit row; None in a version-2 record.
-    """
-
-    label: tuple[int, int, int]
-    scale: float
-    sum: Optional[np.ndarray] = None
-    unit: Optional[np.ndarray] = None
-
-
 def _label(vec, eta: DivisorPair) -> tuple[int, int, int]:
     # labels index the change-of-basis tables, where a negative one would wrap
     k, a, b = (_integer(vec[key], key) for key in ("k", "a", "b"))
@@ -171,107 +153,46 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def _parse_label_record(vec, eta: DivisorPair) -> _Parsed:
-    """A version-2 record: its label and scale."""
-    label = _label(vec, eta)
-    return _Parsed(label, _number(vec["scale"], f"scale of label {label}"))
-
-
-# a version-1 term's real fields: its coefficient, then its phase
-_TERM_PARTS = ("coeff_re", "coeff_im", "phase_re", "phase_im")
-
-
-def _parse_record(vec, eta: DivisorPair) -> _Parsed:
-    """A version-1 record: its label, scale, summed terms and unit row.
-
-    The scale and each term's coeff and phase parts must be numbers, not
-    strings or booleans.  Entries must be a non-empty list of [index, re,
-    im], each index an integer in [0, n) that does not repeat and each
-    value a number.
-    """
-    n = eta.n
-    label = _label(vec, eta)
-    if any(_integer(t["n"], "term n") != n for t in vec["terms"]):
-        raise ValueError(f"a term of label {label} is not of dimension n={n}")
-    scale = _number(vec["scale"], f"scale of label {label}")
-    terms = []
-    for t in vec["terms"]:
-        parts = [_number(t[key], f"term {key}") for key in _TERM_PARTS]
-        train = ModulatedDeltaTrain(
-            n=n,
-            d1=_integer(t["d1"], "term d1"),
-            a=_integer(t["a"], "term a"),
-            b=_integer(t["b"], "term b"),
-            phase=complex(*parts[2:]),
+def _check_version(version, n: int, path) -> None:
+    """Refuse every format_version but 2; version 1 with how to rebuild it."""
+    if type(version) is int and version == 1:
+        raise ValueError(
+            f"{path}: format_version 1 is no longer read; "
+            f"rebuild the basis with `dfteig build --n {n}`"
         )
-        terms.append((complex(*parts[:2]), train))
-    entries = vec["entries"]
-    if type(entries) is not list or not entries:
-        raise ValueError(f"entries of label {label} are not a non-empty list: {entries!r}")
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {3}:
-        raise ValueError(f"entries of label {label} are not [index, re, im]")
-    index, re, im = zip(*entries)
-    for i in index:
-        if type(i) is not int:  # int() would truncate 3.5
-            raise ValueError(f"entry index {i!r} is not an integer")
-        if not 0 <= i < n:
-            raise ValueError(f"entry index {i} out of range")
-    for value in re + im:
-        if type(value) not in (int, float):
-            raise ValueError(f"entry value {value!r} is not a number")
-    index = np.array(index)
-    repeats = np.flatnonzero(np.bincount(index, minlength=n)[index] > 1)
-    if repeats.size:
-        raise ValueError(f"entry index {index[repeats[0]]} repeated")
-    unit = np.zeros(n, dtype=np.complex128)
-    unit[index] = np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
-    norm = np.linalg.norm(unit)
-    if norm <= 0.0:
-        raise ValueError(f"label {label} has empty entries")
-    if abs(norm - 1.0) > 1e-6:  # raw export: undo the stored scale
-        unit /= norm
-    return _Parsed(label, scale, densify_sum(TrainSum(n=n, terms=tuple(terms))), unit)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(
+            f"{path}: format_version {version!r} is not 1 or {FORMAT_VERSION}"
+        )
 
 
-def _unit_rows(eta: DivisorPair, parsed) -> np.ndarray:
-    """The records' unit rows, rebuilt from their labels and checked against the file.
+def _unit_rows(eta: DivisorPair, labels, scales) -> np.ndarray:
+    """The records' unit rows, rebuilt from their labels and checked against their scales.
 
     A label's row is row a*eta2 + b of _class_rows(n, k), the raw projected
     train P_k g_{eta1}(a, b); the labelled rows of every class come from
     one gather and one scatter per DFT power.  A record is refused when
     that projection vanishes or when its scale differs from the row's norm
-    by more than _LABEL_TOL, relative.  A version-1 record keeps its stored
-    entries as its unit vector, and is also refused when its term sum or
-    its unit entries differ from the row by more than _LABEL_TOL; a
-    version-2 record's unit vector is its normalized row.  Each check runs
-    over every record in file order, and the first record it refuses is
-    named.
+    by more than _LABEL_TOL, relative.  Each check runs over every record
+    in file order, and the first record it refuses is named.  The rows are
+    normalized in place.
     """
-    k, a, b = np.array([p.label for p in parsed]).T
+    k, a, b = np.array(labels).T
     rows = _class_rows(eta.n, k, a * eta.eta2 + b)
     norms = np.linalg.norm(rows, axis=1)
     vanishing = np.flatnonzero(~(norms > DEFAULT_TOL.residual_tol))
     if vanishing.size:
         i = vanishing[0]
-        raise ValueError(f"vector {i}: the projection of label {parsed[i].label} vanishes")
-    scales = np.array([p.scale for p in parsed])
-    errors = {"scale": np.abs(scales - norms) / norms}
-    if parsed[0].unit is not None:
-        sums = np.array([p.sum for p in parsed])
-        errors["terms"] = np.abs(sums - rows).max(axis=1) / norms
+        raise ValueError(f"vector {i}: the projection of label {labels[i]} vanishes")
+    error = np.abs(np.array(scales) - norms) / norms
+    bad = np.flatnonzero(~(error <= _LABEL_TOL))  # also refuses NaN
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"vector {i}: scale of label {labels[i]} differ "
+            f"from its projected train by {error[i]:.2e} (limit {_LABEL_TOL:g})"
+        )
     rows /= norms[:, None]
-    if parsed[0].unit is not None:
-        stored = np.array([p.unit for p in parsed])
-        errors["entries"] = np.abs(stored - rows).max(axis=1)
-        rows = stored
-    for name, error in errors.items():
-        bad = np.flatnonzero(~(error <= _LABEL_TOL))  # also refuses NaN
-        if bad.size:
-            i = bad[0]
-            raise ValueError(
-                f"vector {i}: {name} of label {parsed[i].label} differ "
-                f"from its projected train by {error[i]:.2e} (limit {_LABEL_TOL:g})"
-            )
     return rows
 
 
@@ -284,10 +205,7 @@ def _records_from_payload(payload, path) -> EigenBasis:
         raise ValueError(f"{path}: missing field {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: format_version {version!r} is not 1 or {FORMAT_VERSION}"
-        )
+    _check_version(version, n, path)
     if not isinstance(raw_vectors, list):
         raise ValueError(f"{path}: 'vectors' must be a list")
     # Bounds n before eta_pair scans its divisors up to sqrt(n).  Every class
@@ -303,20 +221,21 @@ def _records_from_payload(payload, path) -> EigenBasis:
         raise ValueError(
             f"{path}: ({eta.eta1}, {eta.eta2}) is not the divisor pair of n={n}"
         )
-    parse = _parse_record if version == 1 else _parse_label_record
-    parsed = []
+    labels, scales = [], []
     for pos, vec in enumerate(raw_vectors):
         try:
-            parsed.append(parse(vec, eta))
+            label = _label(vec, eta)
+            scale = _number(vec["scale"], f"scale of label {label}")
         except KeyError as exc:
             raise ValueError(f"{path}: vector {pos} lacks field {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:  # huge term labels overflow
+        except (TypeError, ValueError, OverflowError) as exc:  # float() overflows on a huge int
             raise ValueError(f"{path}: vector {pos}: {exc}") from None
+        labels.append(label)
+        scales.append(scale)
     try:
-        rows = _unit_rows(eta, parsed)
+        rows = _unit_rows(eta, labels, scales)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    labels, scales = [p.label for p in parsed], [p.scale for p in parsed]
     return _assemble(eta, labels, scales, rows, DEFAULT_TOL, 0)
 
 
@@ -324,15 +243,11 @@ def _records_from_payload(payload, path) -> EigenBasis:
 _CSV_FIELDS = {
     "meta": (("format_version", int), ("n", int), ("eta1", int), ("eta2", int)),
     "vector": (("k", int), ("a", int), ("b", int), ("scale", float)),
-    "term": (("n", int), ("d1", int), ("a", int), ("b", int), ("coeff_re", float),
-             ("coeff_im", float), ("phase_re", float), ("phase_im", float)),
-    "entry": (("index", int), ("re", float), ("im", float)),
 }
 
 
 def _import_basis_csv(path) -> EigenBasis:
     payload = {"vectors": []}
-    current = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -344,17 +259,13 @@ def _import_basis_csv(path) -> EigenBasis:
                 if len(row) != len(fields) + 1:
                     raise ValueError(f"{row[0]} row needs {len(fields)} fields")
                 typed = {name: cast(v) for (name, cast), v in zip(fields, row[1:])}
-                if row[0] == "meta":
-                    payload.update(typed)
-                elif row[0] == "vector":
-                    current = {**typed, "terms": [], "entries": []}
-                    payload["vectors"].append(current)
-                elif row[0] == "term":
-                    current["terms"].append(typed)
-                else:
-                    current["entries"].append(list(typed.values()))
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if row[0] == "meta":  # before any later row, which may be of an older version
+                _check_version(typed["format_version"], typed["n"], path)
+                payload.update(typed)
+            else:
+                payload["vectors"].append(typed)
     if "n" not in payload:
         raise ValueError(f"{path}: missing meta row")
     return _records_from_payload(payload, path)

@@ -1,8 +1,6 @@
 import json
-import shutil
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +18,6 @@ from dfteig import (
     write_vector,
 )
 from dfteig.cli import _oracle_pass, _verify_checks, entrypoint, main
-
-DATA = Path(__file__).parent / "data"  # version-1 exports, for the version-1 reader
-V1_FIXTURES = ["basis16_v1.json", "basis16_v1.csv", "basis9_raw_v1.json"]
 
 
 def test_build_json(tmp_path, capsys):
@@ -98,37 +93,8 @@ def _built(tmp_path, fmt, *flags):
     return path
 
 
-def _v1_copy(tmp_path, fmt):
-    """The n=16 version-1 fixture, copied to the name _built gives."""
-    path = tmp_path / f"b16.{fmt}"
-    shutil.copy(DATA / f"basis16_v1.{fmt}", path)
-    return path
-
-
-def _set_entry(payload, value, column=1):
-    payload["vectors"][3]["entries"][0][column] = value
-
-
 def _first_record(payload, key, value):
     return next(vec for vec in payload["vectors"] if vec[key] == value)
-
-
-def _half_term_a(payload):
-    """Term a 3 becomes 3.5, which int() used to truncate back to 3."""
-    terms = (term for vec in payload["vectors"] for term in vec["terms"])
-    next(term for term in terms if term["a"] == 3)["a"] = 3.5
-
-
-def _half_index(payload):
-    """Entry index 3 becomes 3.5, which int() used to truncate back to 3."""
-    entries = (entry for vec in payload["vectors"] for entry in vec["entries"])
-    next(entry for entry in entries if entry[0] == 3)[0] = 3.5
-
-
-def _repeat_entry(payload):
-    """A wrong first value for an index that the correct entry then repeats."""
-    entries = payload["vectors"][3]["entries"]
-    entries.insert(0, [entries[0][0], 0.3, 0.0])
 
 
 JSON_EDITS = {
@@ -136,53 +102,26 @@ JSON_EDITS = {
     "version 3": lambda p: p.update(format_version=3),
     "no version": lambda p: p.pop("format_version"),
     "no k": lambda p: p["vectors"][3].pop("k"),
-    "no terms": lambda p: p["vectors"][3].pop("terms"),
     "no scale": lambda p: p["vectors"][3].pop("scale"),
     "vectors not a list": lambda p: p.update(vectors={"k": 0}),
     "vector not a record": lambda p: p["vectors"].__setitem__(0, 7),
     "doubled scale": lambda p: p["vectors"][3].update(scale=2 * p["vectors"][3]["scale"]),
     "NaN scale": lambda p: p["vectors"][3].update(scale=float("nan")),
     "scale as a string": lambda p: p["vectors"][3].update(scale="1.0"),
+    "scale a boolean": lambda p: p["vectors"][0].update(scale=True),  # 1.0
+    "scale off by 1e-7": lambda p: p["vectors"][3].update(scale=(1 + 1e-7) * p["vectors"][3]["scale"]),
     "b out of range": lambda p: p["vectors"][3].update(b=4),
     # P_3 g_4(0, 0) = 0 at n=16
     "vanishing label": lambda p: _first_record(p, "k", 3).update(a=0, b=0),
-    "altered term": lambda p: p["vectors"][3]["terms"][1].update(coeff_re=0.3),
-    "altered entry": lambda p: _set_entry(p, 0.3),
     "n not an integer": lambda p: p.update(n=16.5),
     "a not an integer": lambda p: _first_record(p, "a", 1).update(a=1.5),
-    "term a not an integer": _half_term_a,
     "k as a string": lambda p: _first_record(p, "k", 1).update(k="1"),
-    "entry index not an integer": _half_index,
-    "repeated entry index": _repeat_entry,
-    "entry index 16": lambda p: _set_entry(p, 16, column=0),
-    "entry index -1": lambda p: _set_entry(p, -1, column=0),
-    # the same values, typed as a string and as a boolean (0.0 becomes false)
-    "entry value a string": lambda p: _set_entry(p, repr(p["vectors"][3]["entries"][0][1])),
-    "entry value a boolean": lambda p: p["vectors"][0]["entries"][0].__setitem__(2, False),
-    "entry not a triple": lambda p: p["vectors"][3]["entries"][0].append(0.0),
-    "empty entries": lambda p: p["vectors"][3].update(entries=[]),
-    "entries not a list": lambda p: p["vectors"][3].update(entries=7),
-    # version-1 scales and term parts with their own values, typed wrongly
-    "v1 scale as a string": lambda p: p["vectors"][3].update(scale="0.5"),
-    "v1 scale a boolean": lambda p: p["vectors"][0].update(scale=True),  # 1.0
-    "term phase_re a boolean": lambda p: p["vectors"][3]["terms"][0].update(phase_re=True),
-    "term coeff_im a boolean": lambda p: p["vectors"][3]["terms"][0].update(coeff_im=False),
-    "term coeff_re a string": lambda p: p["vectors"][3]["terms"][0].update(coeff_re="0.25"),
-}
-# edits of the terms and entries that only version-1 files hold
-V1_EDITS = {
-    "altered entry", "altered term", "entry index not an integer", "no terms",
-    "repeated entry index", "term a not an integer", "entry index 16",
-    "entry index -1", "entry value a string", "entry value a boolean",
-    "entry not a triple", "empty entries", "entries not a list",
-    "v1 scale as a string", "v1 scale a boolean", "term phase_re a boolean",
-    "term coeff_im a boolean", "term coeff_re a string",
 }
 
 
 @pytest.mark.parametrize("edit", sorted(JSON_EDITS))
 def test_verify_refuses_bad_json_record(tmp_path, capsys, edit):
-    path = _v1_copy(tmp_path, "json") if edit in V1_EDITS else _built(tmp_path, "json")
+    path = _built(tmp_path, "json")
     payload = json.loads(path.read_text())
     JSON_EDITS[edit](payload)
     path.write_text(json.dumps(payload))
@@ -195,14 +134,13 @@ CSV_EDITS = {
     "version 99": ("meta", 0, 1, lambda v: "99"),
     "no scale": ("vector", 3, 4, None),
     "doubled scale": ("vector", 3, 4, lambda v: repr(2 * float(v))),
-    "altered term": ("term", 13, 5, lambda v: repr(float(v) + 0.1)),
-    "altered entry": ("entry", 9, 2, lambda v: repr(float(v) + 0.1)),
+    "scale off by 1e-7": ("vector", 3, 4, lambda v: repr(float(v) * (1 + 1e-7))),
 }
 
 
 @pytest.mark.parametrize("edit", sorted(CSV_EDITS))
 def test_verify_refuses_bad_csv_record(tmp_path, capsys, edit):
-    path = _v1_copy(tmp_path, "csv") if edit in V1_EDITS else _built(tmp_path, "csv")
+    path = _built(tmp_path, "csv")
     rows = [line.split(",") for line in path.read_text().splitlines()]
     kind, occurrence, column, change = CSV_EDITS[edit]
     row = [row for row in rows if row[0] == kind][occurrence]
@@ -224,15 +162,8 @@ def test_verify_accepts_valid_exports(tmp_path, capsys, fmt, flags):
     assert "all checks passed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", V1_FIXTURES)
-def test_verify_accepts_version_1_files(capsys, name):
-    assert main(["verify", "--input", str(DATA / name)]) == 0
-    assert "all checks passed" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("version", [1, 2])
-def test_verify_refuses_huge_n_at_once(tmp_path, capsys, version):
-    path = _v1_copy(tmp_path, "json") if version == 1 else _built(tmp_path, "json")
+def test_verify_refuses_huge_n_at_once(tmp_path, capsys):
+    path = _built(tmp_path, "json")
     payload = json.loads(path.read_text())
     payload["n"] = 10**30
     path.write_text(json.dumps(payload))
@@ -240,6 +171,32 @@ def test_verify_refuses_huge_n_at_once(tmp_path, capsys, version):
     assert main(["verify", "--input", str(path)]) == 2
     assert time.perf_counter() - start < 1.0
     assert "four times" in capsys.readouterr().err
+
+
+# the header of a version-1 export, then a record with its first term and entry
+V1_TEXT = {
+    "json": json.dumps({
+        "format_version": 1, "n": 16, "eta1": 4, "eta2": 4, "vectors": [{
+            "k": 0, "a": 0, "b": 0, "scale": 1.0,
+            "terms": [{"n": 16, "d1": 4, "a": 0, "b": 0, "coeff_re": 0.25,
+                       "coeff_im": 0.0, "phase_re": 1.0, "phase_im": 0.0}],
+            "entries": [[0, 0.5, 0.0]],
+        }],
+    }),
+    "csv": "meta,1,16,4,4\nvector,0,0,0,1.0\nterm,16,4,0,0,0.25,0.0,1.0,0.0\nentry,0,0.5,0.0\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_refuses_version_1_at_once(tmp_path, capsys, fmt):
+    path = tmp_path / f"b16.{fmt}"
+    path.write_text(V1_TEXT[fmt])
+    start = time.perf_counter()
+    assert main(["verify", "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "b16." + fmt + ": format_version 1 is no longer read" in err
+    assert "rebuild the basis with `dfteig build --n 16`" in err
 
 
 def _shuffled_across_classes(path, fmt, seed):
@@ -334,43 +291,44 @@ def _swapped(value, rng):
 
 
 def _fuzz_edit(payload, rng):
-    """Swap a value's type, drop a field, or repeat an entry of one record."""
-    vec = payload["vectors"][rng.integers(len(payload["vectors"]))]
+    """Swap a value's type, drop a field, or duplicate a record; True if duplicated."""
+    vectors = payload["vectors"]
+    vec = vectors[rng.integers(len(vectors))]
     kind = rng.integers(3)
     if kind == 0:
-        entries = vec["entries"]
-        entry = list(entries[rng.integers(len(entries))])
-        if rng.integers(2):
-            entry[1] = float(rng.standard_normal())
-        entries.insert(rng.integers(len(entries) + 1), entry)
-        return
+        vectors.insert(rng.integers(len(vectors) + 1), dict(vec))
+        return True
     fields = [(payload, key) for key in payload] + [(vec, key) for key in vec]
-    fields += [(term, key) for term in vec["terms"] for key in term]
-    fields += [(entry, j) for entry in vec["entries"] for j in range(3)]
     target, key = fields[rng.integers(len(fields))]
-    if kind == 1 and isinstance(target, dict):
+    if kind == 1:
         del target[key]
     else:
         target[key] = _swapped(target[key], rng)
+    return False
 
 
-@pytest.mark.parametrize("name,seed", [("basis16_v1.json", 16), ("basis9_raw_v1.json", 9)])
-def test_verify_survives_version_1_edits(tmp_path, capsys, name, seed):
-    text = (DATA / name).read_text()
-    path = tmp_path / name
-    rng = np.random.default_rng(seed)
-    codes = []
+@pytest.mark.parametrize("n", [9, 16, 61])
+def test_verify_survives_record_edits(tmp_path, capsys, n):
+    path = tmp_path / "b.json"
+    assert main(["build", "--n", str(n), "--out", str(path)]) == 0
+    text = path.read_text()
+    rng = np.random.default_rng(n)
+    codes = []  # the exit codes of the edits that duplicate no record
     for i in range(150):
         payload = json.loads(text)
-        _fuzz_edit(payload, rng)
+        duplicated = _fuzz_edit(payload, rng)
         path.write_text(json.dumps(payload))
         try:
-            codes.append(main(["verify", "--input", str(path)]))
+            code = main(["verify", "--input", str(path)])
         except Exception as exc:  # main must refuse, never raise
-            pytest.fail(f"edit {i} of {name} raised {exc!r}")
+            pytest.fail(f"edit {i} at n={n} raised {exc!r}")
+        if duplicated:
+            assert code == 1, f"edit {i} at n={n} duplicated a record"
+        else:
+            codes.append(code)
     capsys.readouterr()
-    assert set(codes) <= {0, 2}
-    assert codes.count(2) > 100  # nearly every edit breaks the file
+    assert set(codes) <= {0, 1, 2}
+    assert codes.count(2) > 0.9 * len(codes)  # nearly every other edit breaks the file
 
 
 @pytest.mark.parametrize(

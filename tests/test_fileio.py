@@ -1,6 +1,4 @@
 import json
-import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +14,6 @@ from dfteig import (
     verify_eigenvector,
     write_vector,
 )
-
-DATA = Path(__file__).parent / "data"  # version-1 exports, for the version-1 reader
 
 
 def test_vector_round_trip(tmp_path):
@@ -81,14 +77,6 @@ def test_reexport_is_bit_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_unnormalized_export_imports_to_unit_vectors():
-    basis = build_basis(9)
-    back = import_basis(DATA / "basis9_raw_v1.json")  # raw (scale times unit) entries
-    for original, imported in zip(basis.vectors, back.vectors):
-        assert abs(np.linalg.norm(imported.dense) - 1) <= 1e-12
-        assert np.allclose(imported.dense, original.dense, atol=1e-12)
-
-
 def test_imported_basis_is_usable(tmp_path):
     basis = build_basis(12)
     path = tmp_path / "basis.json"
@@ -105,7 +93,7 @@ def test_imported_basis_is_usable(tmp_path):
 
 def test_corrupted_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text('{\n "format_version": 1,\n "n": oops\n}\n')
+    path.write_text('{\n "format_version": 2,\n "n": oops\n}\n')
     with pytest.raises(ValueError) as err:
         import_basis(path)
     assert ":3:" in str(err.value)
@@ -116,20 +104,17 @@ def test_corrupted_csv_reports_line(tmp_path):
     path = tmp_path / "basis.csv"
     export_basis(basis, path, fmt="csv")
     lines = path.read_text().splitlines()
-    lines[2] = "term,4,2,x,0,bad"
+    lines[2] = "vector,0,x,0,bad"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as err:
         import_basis(path)
     assert ":3:" in str(err.value)
 
 
-def _edited_export(tmp_path, edit, source=None):
-    """An n=12 export (eta = (3, 4)), or a copy of `source`, edited as basis.json."""
+def _edited_export(tmp_path, edit):
+    """An n=12 export (eta = (3, 4)), edited as basis.json."""
     path = tmp_path / "basis.json"
-    if source is None:
-        export_basis(build_basis(12), path)
-    else:
-        shutil.copy(source, path)
+    export_basis(build_basis(12), path)
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
@@ -138,19 +123,14 @@ def _edited_export(tmp_path, edit, source=None):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("a", -1), ("a", 3), ("b", -1), ("b", 4), ("k", -1), ("k", 4), ("term n", 24)],
+    [("a", -1), ("a", 3), ("b", -1), ("b", 4), ("k", -1), ("k", 4)],
 )
 def test_out_of_range_labels_rejected(tmp_path, key, value):
     def edit(payload):
-        vec = payload["vectors"][5]
-        if key == "term n":
-            vec["terms"][0]["n"] = value
-        else:
-            vec[key] = value
+        payload["vectors"][5][key] = value
 
-    source = DATA / "basis16_v1.json" if key == "term n" else None  # terms are version 1
     with pytest.raises(ValueError) as err:
-        import_basis(_edited_export(tmp_path, edit, source))
+        import_basis(_edited_export(tmp_path, edit))
     assert "basis.json" in str(err.value)
 
 
@@ -189,37 +169,6 @@ def test_indented_file_imports_like_compact(tmp_path, n):
         assert np.array_equal(rec.dense, other.dense)
         assert (rec.scale, rec.support) == (other.scale, other.support)
         assert rec.sum == other.sum
-
-
-def test_csv_repeated_entry_index_rejected(tmp_path):
-    path = tmp_path / "basis.csv"
-    shutil.copy(DATA / "basis16_v1.csv", path)
-    lines = path.read_text().splitlines()
-    first = next(i for i, line in enumerate(lines) if line.startswith("entry,"))
-    index = lines[first].split(",")[1]
-    lines.insert(first, f"entry,{index},0.3,0.0")
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="repeated"):
-        import_basis(path)
-
-
-def test_entries_not_a_list_named(tmp_path):
-    def edit(payload):
-        payload["vectors"][3]["entries"] = 7
-
-    path = _edited_export(tmp_path, edit, DATA / "basis16_v1.json")
-    with pytest.raises(ValueError, match=r"vector 3: entries of label .* not a non-empty list: 7"):
-        import_basis(path)
-
-
-def test_version_1_records_keep_their_stored_entries():
-    payload = json.loads((DATA / "basis16_v1.json").read_text())
-    basis = import_basis(DATA / "basis16_v1.json")
-    for vec, rec in zip(payload["vectors"], basis.vectors):
-        stored = np.zeros(16, dtype=np.complex128)
-        for index, re, im in vec["entries"]:
-            stored[index] = complex(re, im)
-        assert np.array_equal(rec.dense, stored)  # unit entries, not the rebuilt row
 
 
 def test_bad_records_in_two_classes_name_the_first_in_file_order(tmp_path):
