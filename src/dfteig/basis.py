@@ -1,23 +1,32 @@
 """Greedy construction of the sparse eigenvector basis, plus its audits.
 
 The 4n projected trains P_k g_{eta1}(a, b) contain n linearly independent
-eigenvectors.  Each class's n candidates are densified as one array from
-the closed-form projection recipe, the four classes sharing one gather of
-the DFT powers.  D**2 reverses a train, so the candidate with label
+eigenvectors.  D**2 reverses a train, so the candidate with label
 (-a, -b) is a unit multiple of the one with (a, b); only the earlier of
 each such mirror pair enters the class's pool.  Scanning the pool in a
 fixed order (offset, then modulation) and keeping every candidate that
-extends the rank of its class (first fit, run as block CGS2) yields a
-deterministic basis whose supports sit between (eta1+eta2)/2 and
-2*(eta1+eta2).  First fit is exactly independent but can be numerically
-singular (prime n), so each class whose condition number exceeds
-CONDITION_BOUND is re-selected from its pool by max-residual column
-pivoting with deferred updates; the support bounds hold for every
-candidate, so they are unaffected.  Neither the pool nor the blocking
-changes a label: a later mirror never extends the rank and always loses
-the pivoting tie to its partner.  The audits certify those bounds, the
-eigenvalue multiplicities, the support/spectrum uncertainty constraints,
-and the orthogonality classification.
+extends the rank of its class (first fit) yields a deterministic basis
+whose supports sit between (eta1+eta2)/2 and 2*(eta1+eta2).  First fit is
+exactly independent but can be numerically singular (prime n), so each
+class whose condition number exceeds CONDITION_BOUND is re-selected from
+its pool by max-residual column pivoting with deferred updates; the
+support bounds hold for every candidate, so they are unaffected.
+
+Selection takes one of two paths, chosen by c = gcd(eta1, eta2).  For
+c <= 2 each class's n candidates are densified as one (n, n) array from
+the closed-form projection recipe, the four classes sharing one gather of
+the DFT powers, and first fit runs on it as block CGS2.  For c > 2 the
+candidates are written in the orthonormal stride-eta1 train basis instead,
+where each class splits into mutually orthogonal orbit blocks of at most
+4n/c**2 coordinates: first fit runs on all blocks of one orbit size at
+once, the gate reads the class's condition number off the union of its
+blocks' singular values, and only a class the gate fails is densified for
+pivoting.  Neither the pool, the blocking nor the orbit blocks change a
+label: a later mirror never extends the rank and always loses the pivoting
+tie to its partner, and a candidate extends the rank of its class exactly
+when it extends the rank of its block.  The audits certify the support
+bounds, the eigenvalue multiplicities, the support/spectrum uncertainty
+constraints, and the orthogonality classification.
 
 A basis stores its unit rows once, as one (n, n) array in record order:
 each record's `dense` is a view of its row, and the array is the basis's
@@ -41,7 +50,14 @@ from .numerics import (
     as_vector,
     naive_dft,
 )
-from .projection import TrainSum, _class_rows, _power_gathers, project
+from .projection import (
+    _CHARACTERS,
+    TrainSum,
+    _class_rows,
+    _power_coordinates,
+    _power_gathers,
+    project,
+)
 from .trains import DivisorPair, ModulatedDeltaTrain, eta_pair
 
 # Largest 2-norm condition number allowed for one class's unit rows before
@@ -292,64 +308,235 @@ def _pivot_rows(units: np.ndarray, count: int, tol: TolerancePolicy) -> list[int
 
 
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """Squared 2-norm of each complex row."""
+    """Squared 2-norm of each complex row, over the last axis."""
     flat = rows.view(np.float64)  # real and imaginary parts
-    return np.einsum("ij,ij->i", flat, flat)
+    return np.einsum("...j,...j->...", flat, flat)
+
+
+def _orbit_blocks(eta: DivisorPair) -> list[np.ndarray]:
+    """Positions x*eta2 + y grouped by orbit block: one (blocks, width) array per orbit size.
+
+    With c = gcd(eta1, eta2), the block of position x*eta2 + y is the orbit
+    of its residues (x mod c, y mod c) under (alpha, beta) -> (beta, -alpha),
+    which is what one DFT power does to the residues of a train's label.
+    An orbit of size s holds s*n/c**2 positions; each row lists one block's
+    positions in ascending order, so a candidate's row index within its block
+    is its place in scan order.
+    """
+    c = math.gcd(eta.eta1, eta.eta2)
+    position = np.arange(eta.n)
+    alpha, beta = np.divmod(position, eta.eta2)
+    alpha, beta = alpha % c, beta % c
+    turns = [(alpha, beta), (beta, -alpha % c), (-alpha % c, -beta % c), (-beta % c, alpha)]
+    codes = np.array([x * c + y for x, y in turns])
+    orbit = codes.min(axis=0)  # the smallest residue code stands for the orbit
+    size = 4 - 2 * (codes[2] == codes[0]) - (codes[1] == codes[0])
+    groups = []
+    for s in (1, 2, 4):
+        members = position[size == s]
+        if members.size:
+            members = members[np.argsort(orbit[members], kind="stable")]
+            groups.append(members.reshape(-1, s * eta.n // c**2))
+    return groups
+
+
+def _stacked_first_fit(stack: np.ndarray, counts: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Which rows of each stacked pool extend the rank of their pool: a (pools, slots) mask.
+
+    `stack` is (pools, slots, width), each pool's rows in scan order and
+    zero rows as padding, which are never accepted; pool p stops once it
+    holds counts[p] rows.  Block CGS2, batched over the pools: each block
+    of _BLOCK slots has the pivots of the earlier slots projected out
+    twice, as batched matrix products, and then each slot is measured
+    against the earlier slots of its block, again twice.  A rejected slot's
+    pivot is a zero row, so it projects out nothing.  A row is accepted iff
+    its residual norm exceeds residual_tol times its own norm, and its
+    normalized residual becomes its slot's pivot.  The slots stop once
+    every pool is full.  The stack is overwritten with the pivots.
+    """
+    limits = tol.residual_tol * np.sqrt(_squared_norms(stack))
+    accepted = np.zeros(limits.shape, dtype=bool)
+    rank = np.zeros(len(stack), dtype=np.intp)
+    for start in range(0, stack.shape[1], _BLOCK):
+        block = stack[:, start:start + _BLOCK]  # a view: projected in place
+        if start:
+            q = stack[:, :start]
+            for _ in range(2):  # coefficients as conj(conj(block) @ q^T): no conjugated copy of q
+                block -= (block.conj() @ q.transpose(0, 2, 1)).conj() @ q
+        conj = np.zeros_like(block)  # conjugated pivots of this block
+        for i in range(block.shape[1]):
+            r = block[:, i, None]  # (pools, 1, width)
+            if i:
+                q, qc = block[:, :i], conj[:, :i].transpose(0, 2, 1)
+                r -= (r @ qc) @ q  # second pass mops up cancellation error
+                r -= (r @ qc) @ q
+            norm = np.sqrt(_squared_norms(r[:, 0]))
+            ok = accepted[:, start + i]
+            np.logical_and(norm > limits[:, start + i], rank < counts, out=ok)
+            inverse = np.zeros_like(norm)
+            np.divide(1.0, norm, out=inverse, where=ok)
+            r *= inverse[:, None, None]
+            np.conjugate(r[:, 0], out=conj[:, i])
+            rank += ok
+            if np.array_equal(rank, counts):
+                return accepted
+    return accepted
+
+
+def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: TolerancePolicy):
+    """First fit in stride-eta1 train coordinates, block by block.
+
+    Each class's candidates are written in the orthonormal stride-eta1 train
+    basis from projection._power_coordinates.  A candidate's coordinates lie
+    in its orbit block, and the blocks are mutually orthogonal, so first fit
+    over each block's pool in scan order keeps exactly the rows first fit
+    over the whole class keeps, and the class's singular values are the
+    union of its blocks'.  Block b's rows in class k are the coordinates of
+    P_k restricted to the block, so their trace is the block's rank, and
+    first fit stops each block there, as it stops the whole class at its
+    multiplicity.  All blocks of one orbit size, in all four classes, run as
+    one stack (see _stacked_first_fit), and their kept unit rows take one
+    batched SVD.  Returns per class the kept positions in scan order and the
+    condition number of its kept rows, and the number of vanishing
+    candidates.
+    """
+    n = eta.n
+    coordinates = _power_coordinates(n)
+    kept: list[list[np.ndarray]] = [[] for _ in range(4)]
+    top, bottom = np.zeros(4), np.full(4, np.inf)
+    zeros = 0
+    for members in _orbit_blocks(eta):
+        blocks, width = members.shape
+        local = np.empty(n, dtype=np.intp)
+        local[members] = np.arange(width)
+        units = np.zeros((4, blocks, width, width), dtype=np.complex128)
+        cell = (np.arange(blocks)[:, None, None], np.arange(width)[:, None])
+        for j, (position, value) in enumerate(coordinates):
+            # a row's coordinates within one power are distinct, so buffered += is exact
+            units[(slice(None), *cell, local[position[members]])] += (
+                _CHARACTERS[:, j, None, None, None] * value[members]
+            )
+        counts = np.rint(np.trace(units, axis1=2, axis2=3).real).astype(np.intp)
+        scale = np.sqrt(_squared_norms(units))
+        nonzero = scale > tol.residual_tol
+        zeros += int(nonzero.size - np.count_nonzero(nonzero))
+        units /= np.where(nonzero, scale, 1.0)[..., None]
+        pool = nonzero & (mirror[members] >= members)
+        # each block's pool rows first, in scan order, then zero padding
+        slots = np.argsort(~pool, axis=-1, kind="stable")[..., : pool.sum(-1).max()]
+        stack = np.take_along_axis(units, slots[..., None], 2)
+        stack *= np.take_along_axis(pool, slots, -1)[..., None]
+        stack = stack.reshape(-1, slots.shape[-1], width)
+        accepted = _stacked_first_fit(stack, counts.ravel(), tol).reshape(slots.shape)
+        del stack  # its pivots are not read again
+        rank = accepted.sum(-1)
+        # each block's kept rows first, then zero rows, which only add zero
+        # singular values after the block's rank-th
+        first = np.argsort(~accepted, axis=-1, kind="stable")[..., : rank.max()]
+        rows = np.take_along_axis(slots, first, -1)
+        held = np.take_along_axis(accepted, first, -1)
+        sv = np.linalg.svd(
+            np.take_along_axis(units, rows[..., None], 2) * held[..., None], compute_uv=False
+        )
+        used = rank > 0
+        top = np.maximum(top, np.where(used, sv[..., 0], 0.0).max(axis=1))
+        low = np.take_along_axis(sv, np.maximum(rank - 1, 0)[..., None], -1)[..., 0]
+        bottom = np.minimum(bottom, np.where(used, low, np.inf).min(axis=1))
+        for k in range(4):
+            kept[k].append(members[np.nonzero(held[k])[0], rows[k][held[k]]])
+    return [np.sort(np.concatenate(part)) for part in kept], top / bottom, zeros
+
+
+def _dense_pool(n: int, k: int, mirror: np.ndarray, gathers, tol: TolerancePolicy):
+    """Class k densified: its n unit rows, their norms, its pool, and its vanishing rows.
+
+    The rows come from one scatter (see projection._class_rows), in scan
+    order, and rows whose projection vanished are left unnormalized.  The
+    pool is every nonzero row that comes no later than its mirror.
+    """
+    units = _class_rows(n, k, gathers=gathers)
+    scale = np.linalg.norm(units, axis=1)
+    nonzero = scale > tol.residual_tol
+    units /= np.where(nonzero, scale, 1.0)[:, None]
+    pool = np.flatnonzero(nonzero & (mirror >= np.arange(n)))
+    return units, scale, pool, n - int(np.count_nonzero(nonzero))
 
 
 def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
     """Deterministic selection of n independent projected trains.
 
-    Per class, densifies all n candidates as one array in scan order (the
-    DFT powers' supports and roots are gathered once for all four classes),
-    counts the ones whose projection vanished as zero candidates, and
-    normalizes the rest.  D**2 reverses a train, so P_k g(-a, -b) is a unit
-    multiple of P_k g(a, b): of each such mirror pair only the earlier row
-    enters the pool.  First fit would reject the later row, and pivoting
-    would find the two tied and take the earlier.  First fit (block CGS2,
-    see _first_fit) keeps each pool row that extends the rank of its class
-    and stops at the class's known multiplicity.  It guarantees exact
-    independence but no margin: at prime n its rows can be numerically
-    singular.  So a class whose unit rows have a 2-norm condition number
-    above CONDITION_BOUND is re-selected from its pool by max-residual
-    pivoting with deferred updates (see _pivot_rows), ties going to the
-    earliest candidate.  Records stay in scan order.  Each class's kept rows
-    are taken straight into the basis's one (n, n) array of unit rows,
-    which _assemble turns into records.  Raises if any class falls short,
-    which would indicate a bug rather than bad input.
+    D**2 reverses a train, so P_k g(-a, -b) is a unit multiple of
+    P_k g(a, b): of each such mirror pair only the earlier candidate enters
+    its class's pool.  First fit would reject the later one, and pivoting
+    would find the two tied and take the earlier.  First fit keeps each pool
+    row, in scan order, that extends the rank of its class, up to the
+    class's known multiplicity.  It guarantees exact independence but no
+    margin: at prime n its rows can be numerically singular.  So a class
+    whose unit rows have a 2-norm condition number above CONDITION_BOUND is
+    re-selected from its pool by max-residual pivoting with deferred updates
+    (see _pivot_rows), ties going to the earliest candidate.
+
+    The path follows c = gcd(eta1, eta2).  For c <= 2 each class is
+    densified as one (n, n) array (the DFT powers' supports and roots are
+    gathered once for all four classes), first fit runs on it as block
+    CGS2 (see _first_fit), and the gate takes the SVD of the kept rows.  For
+    c > 2 no class is densified: each candidate is written in stride-eta1
+    train coordinates, where the class splits into mutually orthogonal
+    orbit blocks of at most 4n/c**2 coordinates (see _select_in_blocks).
+    First fit runs over all blocks of one orbit size at once, and the gate
+    reads the condition number off the union of the blocks' singular
+    values.  A class that fails the gate there is densified and pivoted as
+    on the other path.  Then only the kept labels are densified, all four
+    classes in one _class_rows call.  Either way the kept rows form the
+    basis's one (n, n) array of unit rows in record order (class, then scan
+    order), which _assemble turns into records.  Raises if any class misses
+    its multiplicity, which would indicate a bug rather than bad input.
     """
     eta = eta_pair(n)
     dims = multiplicities(n).dims
-    gathers = _power_gathers(n)
-    position = np.arange(n)  # row a*eta2 + b holds label (k, a, b)
+    position = np.arange(n)  # position a*eta2 + b holds label (k, a, b)
     a, b = np.divmod(position, eta.eta2)
     mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)
-    rows = np.empty((n, n), dtype=np.complex128)  # the basis's unit rows
-    labels: list[tuple[int, int, int]] = []
-    scales: list[float] = []
-    zeros = 0
-    for k in range(4):
-        units = _class_rows(n, k, gathers=gathers)
-        scale = np.linalg.norm(units, axis=1)
-        nonzero = scale > tol.residual_tol
-        zeros += n - int(np.count_nonzero(nonzero))
-        units /= np.where(nonzero, scale, 1.0)[:, None]
-        pool = np.flatnonzero(nonzero & (mirror >= position))
-        kept = pool[_first_fit(units, pool, dims[k], tol)]
-        start = len(labels)
-        dense = np.take(units, kept, axis=0, out=rows[start:start + kept.size])
-        if kept.size and _ill_conditioned(dense):
-            kept = pool[_pivot_rows(units[pool], dims[k], tol)]
-            np.take(units, kept, axis=0, out=rows[start:start + kept.size])
-        if kept.size != dims[k]:
+    if math.gcd(eta.eta1, eta.eta2) > 2:
+        kept, condition, zeros = _select_in_blocks(eta, mirror, tol)
+        gated = np.flatnonzero(condition > CONDITION_BOUND).tolist()
+        gathers = _power_gathers(n) if gated else None
+        for k in gated:
+            units, _, pool, _ = _dense_pool(n, k, mirror, gathers, tol)
+            kept[k] = pool[_pivot_rows(units[pool], dims[k], tol)]
+            del units  # freed before the next class is densified
+        ks = np.repeat(np.arange(4), [fit.size for fit in kept])
+        rows = _class_rows(n, ks, np.concatenate(kept))
+        scales = np.linalg.norm(rows, axis=1)
+        rows /= scales[:, None]
+    else:
+        kept, scales, zeros = [], [], 0
+        rows = np.empty((n, n), dtype=np.complex128)  # the basis's unit rows
+        gathers = _power_gathers(n)
+        for k in range(4):
+            units, scale, pool, vanishing = _dense_pool(n, k, mirror, gathers, tol)
+            zeros += vanishing
+            fit = pool[_first_fit(units, pool, dims[k], tol)]
+            start = sum(part.size for part in kept)
+            dense = np.take(units, fit, axis=0, out=rows[start:start + fit.size])
+            if fit.size and _ill_conditioned(dense):
+                fit = pool[_pivot_rows(units[pool], dims[k], tol)]
+                np.take(units, fit, axis=0, out=rows[start:start + fit.size])
+            kept.append(fit)
+            scales.append(scale[fit])
+            del units  # freed before the next class is densified
+        scales = np.concatenate(scales)
+    for k, fit in enumerate(kept):
+        if fit.size != dims[k]:
             raise RuntimeError(
-                f"n={n}: eigenvalue class {k} reached rank {kept.size} of "
+                f"n={n}: eigenvalue class {k} reached rank {fit.size} of "
                 f"{dims[k]}; the projected trains failed to span the class, "
                 "which indicates an implementation bug"
             )
-        labels.extend((k, i // eta.eta2, i % eta.eta2) for i in kept.tolist())
-        scales.extend(scale[kept].tolist())
-    return _assemble(eta, labels, scales, rows, tol, zeros)
+    labels = [
+        (k, *divmod(i, eta.eta2)) for k, fit in enumerate(kept) for i in fit.tolist()
+    ]
+    return _assemble(eta, labels, scales.tolist(), rows, tol, zeros)
 
 
 def _assemble(

@@ -162,7 +162,8 @@ def _check_version(version, n: int, path) -> None:
         )
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(
-            f"{path}: format_version {version!r} is not 1 or {FORMAT_VERSION}"
+            f"{path}: format_version {version!r} is not read; "
+            f"{FORMAT_VERSION} is the only version this program reads"
         )
 
 

@@ -10,7 +10,8 @@ Each power of D applied to a delta train is again a train in label form,
 so the projection of a train is a four-term symbolic sum.  `project` and
 `densify_sum` apply that law one candidate at a time; the projection recipe
 runs it in closed form on whole label arrays, for the fast change of basis
-and for the basis builder, which densifies each class as one array.
+and for the basis builder, which either densifies each class as one array
+or writes every candidate in the coordinates of the stride-eta1 trains.
 """
 
 from __future__ import annotations
@@ -138,6 +139,41 @@ def _projection_recipe(n: int):
     index.setflags(write=False)
     phases.setflags(write=False)
     return eta, index, phases
+
+
+def _power_coordinates(n: int) -> list:
+    """Per DFT power j, every train's coordinates in the stride-eta1 train basis.
+
+    The stride-eta1 trains g(x', y') are orthonormal, and coordinate
+    x'*eta2 + y' of a vector v is <v, g(x', y')>.  Power j of train
+    a*eta2 + b is its recipe phase times a unit train.  An even power is a
+    stride-eta1 train: one coordinate, at its recipe position.  An odd power
+    is a stride-eta2 train g_{eta2}(x, y), which meets g(x', y') only when
+    x' = x and y' = y (mod c), c = gcd(eta1, eta2): n/c**2 coordinates, each
+    (c/sqrt(n)) * w**((y' - y)*t), where t < n/c solves t = x (mod eta2) and
+    t = x' (mod eta1) (trains.train_inner in closed form).  For each j this
+    returns the coordinate positions and values of all n trains, one row
+    per train in scan order, phases included; the four classes share them.
+    """
+    eta, index, phases = _projection_recipe(n)
+    c = math.gcd(eta.eta1, eta.eta2)
+    p, q = eta.eta1 // c, eta.eta2 // c
+    inverse = pow(q, -1, p)  # of eta2/c mod eta1/c, which are coprime
+    coordinates = []
+    for j in range(4):
+        position, phase = index[j].reshape(n, 1), phases[j].reshape(n, 1)
+        if j % 2 == 0:
+            coordinates.append((position, phase))
+            continue
+        x, y = np.divmod(position, eta.eta1)  # the label of g_{eta2}(x, y)
+        x1 = x % c + c * np.arange(p)  # (n, p): every x' = x (mod c)
+        y1 = y % c + c * np.arange(q)  # (n, q): every y' = y (mod c)
+        t = x + eta.eta2 * ((x1 - x) // c * inverse % p)
+        exponent = (y1[:, None, :] - y[:, :, None]) * t[:, :, None]
+        values = (c / math.sqrt(n)) * phase[:, :, None] * omega_power(n, exponent)
+        position = x1[:, :, None] * eta.eta2 + y1[:, None, :]
+        coordinates.append((position.reshape(n, -1), values.reshape(n, -1)))
+    return coordinates
 
 
 def _power_gathers(n: int, select=None) -> list:

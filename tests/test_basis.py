@@ -21,9 +21,16 @@ from dfteig import (
     try_extend_rank,
     verify_eigenvector,
 )
-from dfteig.basis import _TIE_MARGIN, CONDITION_BOUND, _divisors, _uncertainty_ok
+import dfteig.basis
+from dfteig.basis import (
+    _TIE_MARGIN,
+    CONDITION_BOUND,
+    _divisors,
+    _orbit_blocks,
+    _uncertainty_ok,
+)
 from dfteig.numerics import TolerancePolicy
-from dfteig.projection import _class_rows
+from dfteig.projection import _class_rows, _power_coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +212,7 @@ def _reference_pivot_rows(units, count, tol):
 
 
 def _reference_labels(n, tol):
-    """The selection over every nonzero candidate, mirrors included."""
+    """The selection over every nonzero candidate, mirrors included, under the current gate."""
     dims = multiplicities(n).dims
     labels = []
     for k in range(4):
@@ -217,7 +224,7 @@ def _reference_labels(n, tol):
         kept = _reference_first_fit(units, live, dims[k], tol)
         if kept:
             sv = np.linalg.svd(units[kept], compute_uv=False)
-            if sv[0] > CONDITION_BOUND * sv[-1]:
+            if sv[0] > dfteig.basis.CONDITION_BOUND * sv[-1]:
                 kept = live[_reference_pivot_rows(units[live], dims[k], tol)].tolist()
         labels.append((k, kept))
     return labels
@@ -226,16 +233,50 @@ def _reference_labels(n, tol):
 PARITY_TOLS = [1e-6, 1e-9, 1e-10]
 
 
-@pytest.mark.parametrize("n", list(range(1, 129)) + [257, 509, 601])
+def _expected_labels(n, tol):
+    eta2 = eta_pair(n).eta2
+    return [(k, *divmod(i, eta2)) for k, kept in _reference_labels(n, tol) for i in kept]
+
+
+# 144, 225, 256 and 576 take the orbit-block path (c > 2) with blocks past 128
+@pytest.mark.parametrize("n", list(range(1, 129)) + [144, 225, 256, 257, 509, 576, 601])
 def test_build_basis_keeps_the_reference_rows(n):
-    # mirror pruning, block first fit and deferred pivoting change no label
+    # mirror pruning, block first fit, orbit blocks and deferred pivoting change no label
     for value in PARITY_TOLS:
         tol = TolerancePolicy(zero_tol=value, residual_tol=value)
-        basis = build_basis(n, tol)
-        eta2 = basis.eta.eta2
-        reference = _reference_labels(n, tol)
-        expected = [(k, *divmod(i, eta2)) for k, kept in reference for i in kept]
-        assert basis.labels() == expected, value
+        assert build_basis(n, tol).labels() == _expected_labels(n, tol), value
+
+
+@pytest.mark.parametrize("n, bound", [(108, 5.0), (180, 7.0)])
+def test_gated_block_classes_fall_back_to_dense_pivoting(monkeypatch, n, bound):
+    # c = 3.  First fit leaves condition 10.3 in every class at 108, and
+    # 5.0, 7.8, 10.4, 5.0 at 180, so the lowered gate fires in all classes
+    # at 108 and in classes 1 and 2 at 180.
+    tol = TolerancePolicy()
+    unpatched = build_basis(n, tol).labels()
+    monkeypatch.setattr(dfteig.basis, "CONDITION_BOUND", bound)
+    labels = build_basis(n, tol).labels()
+    assert labels == _expected_labels(n, tol)
+    assert labels != unpatched
+
+
+@pytest.mark.parametrize("n", [9, 16, 27, 54, 96, 108, 128, 225])
+def test_candidates_lie_in_their_orbit_blocks(n):
+    eta = eta_pair(n)
+    c = math.gcd(eta.eta1, eta.eta2)
+    groups = _orbit_blocks(eta)
+    members = np.concatenate([group.ravel() for group in groups])
+    assert np.array_equal(np.sort(members), np.arange(n))  # each position in one block
+    block = np.empty(n, dtype=np.intp)
+    start = 0
+    for group in groups:
+        assert group.shape[1] <= 4 * n // c**2
+        assert np.all(np.diff(group, axis=1) > 0)  # scan order within a block
+        block[group] = start + np.arange(len(group))[:, None]
+        start += len(group)
+    # every nonzero coordinate of every DFT power, hence of every class's candidate
+    for position, _ in _power_coordinates(n):
+        assert np.all(block[position] == block[:, None])
 
 
 @pytest.mark.parametrize("n", range(1, 301))

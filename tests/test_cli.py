@@ -126,12 +126,16 @@ def test_verify_refuses_bad_json_record(tmp_path, capsys, edit):
     JSON_EDITS[edit](payload)
     path.write_text(json.dumps(payload))
     assert main(["verify", "--input", str(path)]) == 2
-    assert "b16.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "b16.json" in err
+    if edit.startswith("version "):  # names version 2 alone, not the retired 1
+        assert "1 or" not in err and "2 is the only version" in err
 
 
 # row kind, which row of that kind, column, new value (None drops the column)
 CSV_EDITS = {
     "version 99": ("meta", 0, 1, lambda v: "99"),
+    "version 3": ("meta", 0, 1, lambda v: "3"),
     "no scale": ("vector", 3, 4, None),
     "doubled scale": ("vector", 3, 4, lambda v: repr(2 * float(v))),
     "scale off by 1e-7": ("vector", 3, 4, lambda v: repr(float(v) * (1 + 1e-7))),
@@ -150,7 +154,10 @@ def test_verify_refuses_bad_csv_record(tmp_path, capsys, edit):
         row[column] = change(row[column])
     path.write_text("".join(",".join(row) + "\n" for row in rows))
     assert main(["verify", "--input", str(path)]) == 2
-    assert "b16.csv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "b16.csv" in err
+    if edit.startswith("version "):
+        assert "1 or" not in err and "2 is the only version" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

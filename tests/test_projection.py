@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,17 @@ from dfteig import (
     densify,
     densify_sum,
     dft_pow,
+    dft_train,
     eigenvalue_of,
     eta_pair,
     naive_dft,
     project,
     support_bound,
+    train_inner,
     verify_eigenvector,
 )
 from dfteig.numerics import omega_power
-from dfteig.projection import _class_rows
+from dfteig.projection import _class_rows, _power_coordinates
 
 
 def oracle_projection(k, dense):
@@ -153,6 +157,27 @@ def test_class_rows_match_per_label_chain(n):
                 g = ModulatedDeltaTrain(n=n, d1=eta.eta1, a=a, b=b)
                 expected = densify_sum(project(k, g))
                 assert np.abs(rows[a * eta.eta2 + b] - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [9, 16, 27, 54, 96, 108, 128, 225])
+def test_power_coordinates_match_train_inner(n):
+    # every label and DFT power, against the oracle in every coordinate
+    eta = eta_pair(n)
+    c = math.gcd(eta.eta1, eta.eta2)
+    trains = [
+        ModulatedDeltaTrain(n=n, d1=eta.eta1, a=x, b=y)
+        for x in range(eta.eta1) for y in range(eta.eta2)
+    ]
+    coordinates = _power_coordinates(n)
+    assert [position.shape[1] for position, _ in coordinates] == [1, n // c**2] * 2
+    for i, g in enumerate(trains):
+        power = g
+        for j, (position, value) in enumerate(coordinates):
+            row = np.zeros(n, dtype=np.complex128)
+            row[position[i]] = value[i]
+            oracle = np.array([train_inner(power, e) for e in trains])
+            assert np.abs(row - oracle).max() <= 1e-13, (i, j)
+            power = dft_train(power)
 
 
 def test_verify_eigenvector_fixed_point():
