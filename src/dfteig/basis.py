@@ -13,20 +13,21 @@ its pool by max-residual column pivoting with deferred updates; the
 support bounds hold for every candidate, so they are unaffected.
 
 Selection takes one of two paths, chosen by c = gcd(eta1, eta2).  For
-c <= 2 each class's n candidates are densified as one (n, n) array from
+c = 1 each class's n candidates are densified as one (n, n) array from
 the closed-form projection recipe, the four classes sharing one gather of
-the DFT powers, and first fit runs on it as block CGS2.  For c > 2 the
+the DFT powers, and first fit runs on it as block CGS2.  For c > 1 the
 candidates are written in the orthonormal stride-eta1 train basis instead,
 where each class splits into mutually orthogonal orbit blocks of at most
-4n/c**2 coordinates: first fit runs on all blocks of one orbit size at
-once, the gate reads the class's condition number off the union of its
-blocks' singular values, and only a class the gate fails is densified for
-pivoting.  Neither the pool, the blocking nor the orbit blocks change a
-label: a later mirror never extends the rank and always loses the pivoting
-tie to its partner, and a candidate extends the rank of its class exactly
-when it extends the rank of its block.  The audits certify the support
-bounds, the eigenvalue multiplicities, the support/spectrum uncertainty
-constraints, and the orthogonality classification.
+4n/c**2 coordinates: first fit runs, batched, on all blocks of one orbit
+size at once, the gate reads the class's condition number off the union
+of its blocks' singular values, and only a class the gate fails is
+densified for pivoting.  Neither the pool, the blocking nor the orbit
+blocks change a label: a later mirror never extends the rank and always
+loses the pivoting tie to its partner, and a candidate extends the rank
+of its class exactly when it extends the rank of its block.  The audits
+certify the support bounds, the eigenvalue multiplicities, the
+support/spectrum uncertainty constraints, and the orthogonality
+classification.
 
 A basis stores its unit rows once, as one (n, n) array in record order:
 each record's `dense` is a view of its row, and the array is the basis's
@@ -343,16 +344,22 @@ def _orbit_blocks(eta: DivisorPair) -> list[np.ndarray]:
 def _stacked_first_fit(stack: np.ndarray, counts: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     """Which rows of each stacked pool extend the rank of their pool: a (pools, slots) mask.
 
-    `stack` is (pools, slots, width), each pool's rows in scan order and
-    zero rows as padding, which are never accepted; pool p stops once it
-    holds counts[p] rows.  Block CGS2, batched over the pools: each block
-    of _BLOCK slots has the pivots of the earlier slots projected out
+    _first_fit's rule for the orbit-block path, where the pools are the
+    blocks.  `stack` is (pools, slots, width), each pool's rows in scan
+    order and zero rows as padding, which are never accepted; pool p stops
+    once it holds counts[p] rows.  Block CGS2, batched over the pools: each
+    block of _BLOCK slots has the pivots of the earlier slots projected out
     twice, as batched matrix products, and then each slot is measured
     against the earlier slots of its block, again twice.  A rejected slot's
     pivot is a zero row, so it projects out nothing.  A row is accepted iff
     its residual norm exceeds residual_tol times its own norm, and its
     normalized residual becomes its slot's pivot.  The slots stop once
     every pool is full.  The stack is overwritten with the pivots.
+
+    Called with a whole class as its one pool it keeps the same rows, but
+    its batched steps cost about twice _first_fit's per row below n = 250,
+    which made the certify workload (n = 2..128, 99 of them c = 1) 8%
+    slower; so the dense path keeps _first_fit.
     """
     limits = tol.residual_tol * np.sqrt(_squared_norms(stack))
     accepted = np.zeros(limits.shape, dtype=bool)
@@ -394,11 +401,13 @@ def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: TolerancePolicy
     union of its blocks'.  Block b's rows in class k are the coordinates of
     P_k restricted to the block, so their trace is the block's rank, and
     first fit stops each block there, as it stops the whole class at its
-    multiplicity.  All blocks of one orbit size, in all four classes, run as
-    one stack (see _stacked_first_fit), and their kept unit rows take one
-    batched SVD.  Returns per class the kept positions in scan order and the
-    condition number of its kept rows, and the number of vanishing
-    candidates.
+    multiplicity.  All blocks of one orbit size run as one stack (see
+    _stacked_first_fit), in all four classes at once unless their rows would
+    outnumber one (n, n) class array's entries (at c = 3 they hold 1.6
+    times as many), and then in passes of fewer classes.  Their kept
+    unit rows take one batched SVD per pass.  Returns per class the kept
+    positions in scan order and the condition number of its kept rows, and
+    the number of vanishing candidates.
     """
     n = eta.n
     coordinates = _power_coordinates(n)
@@ -409,41 +418,45 @@ def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: TolerancePolicy
         blocks, width = members.shape
         local = np.empty(n, dtype=np.intp)
         local[members] = np.arange(width)
-        units = np.zeros((4, blocks, width, width), dtype=np.complex128)
         cell = (np.arange(blocks)[:, None, None], np.arange(width)[:, None])
-        for j, (position, value) in enumerate(coordinates):
-            # a row's coordinates within one power are distinct, so buffered += is exact
-            units[(slice(None), *cell, local[position[members]])] += (
-                _CHARACTERS[:, j, None, None, None] * value[members]
+        # classes per pass: one pass's rows hold no more entries than one (n, n) class
+        passes = -(-4 * blocks * width * width // (n * n))
+        for ks in np.array_split(np.arange(4), passes):
+            units = np.zeros((ks.size, blocks, width, width), dtype=np.complex128)
+            for j, (position, value) in enumerate(coordinates):
+                # a row's coordinates within one power are distinct, so buffered += is exact
+                units[(slice(None), *cell, local[position[members]])] += (
+                    _CHARACTERS[ks, j, None, None, None] * value[members]
+                )
+            counts = np.rint(np.trace(units, axis1=2, axis2=3).real).astype(np.intp)
+            scale = np.sqrt(_squared_norms(units))
+            nonzero = scale > tol.residual_tol
+            zeros += int(nonzero.size - np.count_nonzero(nonzero))
+            units /= np.where(nonzero, scale, 1.0)[..., None]
+            pool = nonzero & (mirror[members] >= members)
+            # each block's pool rows first, in scan order, then zero padding
+            slots = np.argsort(~pool, axis=-1, kind="stable")[..., : pool.sum(-1).max()]
+            stack = np.take_along_axis(units, slots[..., None], 2)
+            stack *= np.take_along_axis(pool, slots, -1)[..., None]
+            stack = stack.reshape(-1, slots.shape[-1], width)
+            accepted = _stacked_first_fit(stack, counts.ravel(), tol).reshape(slots.shape)
+            del stack  # its pivots are not read again
+            rank = accepted.sum(-1)
+            # each block's kept rows first, then zero rows, which only add zero
+            # singular values after the block's rank-th
+            first = np.argsort(~accepted, axis=-1, kind="stable")[..., : rank.max()]
+            rows = np.take_along_axis(slots, first, -1)
+            held = np.take_along_axis(accepted, first, -1)
+            sv = np.linalg.svd(
+                np.take_along_axis(units, rows[..., None], 2) * held[..., None], compute_uv=False
             )
-        counts = np.rint(np.trace(units, axis1=2, axis2=3).real).astype(np.intp)
-        scale = np.sqrt(_squared_norms(units))
-        nonzero = scale > tol.residual_tol
-        zeros += int(nonzero.size - np.count_nonzero(nonzero))
-        units /= np.where(nonzero, scale, 1.0)[..., None]
-        pool = nonzero & (mirror[members] >= members)
-        # each block's pool rows first, in scan order, then zero padding
-        slots = np.argsort(~pool, axis=-1, kind="stable")[..., : pool.sum(-1).max()]
-        stack = np.take_along_axis(units, slots[..., None], 2)
-        stack *= np.take_along_axis(pool, slots, -1)[..., None]
-        stack = stack.reshape(-1, slots.shape[-1], width)
-        accepted = _stacked_first_fit(stack, counts.ravel(), tol).reshape(slots.shape)
-        del stack  # its pivots are not read again
-        rank = accepted.sum(-1)
-        # each block's kept rows first, then zero rows, which only add zero
-        # singular values after the block's rank-th
-        first = np.argsort(~accepted, axis=-1, kind="stable")[..., : rank.max()]
-        rows = np.take_along_axis(slots, first, -1)
-        held = np.take_along_axis(accepted, first, -1)
-        sv = np.linalg.svd(
-            np.take_along_axis(units, rows[..., None], 2) * held[..., None], compute_uv=False
-        )
-        used = rank > 0
-        top = np.maximum(top, np.where(used, sv[..., 0], 0.0).max(axis=1))
-        low = np.take_along_axis(sv, np.maximum(rank - 1, 0)[..., None], -1)[..., 0]
-        bottom = np.minimum(bottom, np.where(used, low, np.inf).min(axis=1))
-        for k in range(4):
-            kept[k].append(members[np.nonzero(held[k])[0], rows[k][held[k]]])
+            del units  # freed before the next pass fills its own
+            used = rank > 0
+            top[ks] = np.maximum(top[ks], np.where(used, sv[..., 0], 0.0).max(axis=1))
+            low = np.take_along_axis(sv, np.maximum(rank - 1, 0)[..., None], -1)[..., 0]
+            bottom[ks] = np.minimum(bottom[ks], np.where(used, low, np.inf).min(axis=1))
+            for k, k_held, k_rows in zip(ks, held, rows):
+                kept[k].append(members[np.nonzero(k_held)[0], k_rows[k_held]])
     return [np.sort(np.concatenate(part)) for part in kept], top / bottom, zeros
 
 
@@ -476,28 +489,29 @@ def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
     re-selected from its pool by max-residual pivoting with deferred updates
     (see _pivot_rows), ties going to the earliest candidate.
 
-    The path follows c = gcd(eta1, eta2).  For c <= 2 each class is
+    The path follows c = gcd(eta1, eta2).  For c = 1 each class is
     densified as one (n, n) array (the DFT powers' supports and roots are
     gathered once for all four classes), first fit runs on it as block
-    CGS2 (see _first_fit), and the gate takes the SVD of the kept rows.  For
-    c > 2 no class is densified: each candidate is written in stride-eta1
-    train coordinates, where the class splits into mutually orthogonal
-    orbit blocks of at most 4n/c**2 coordinates (see _select_in_blocks).
-    First fit runs over all blocks of one orbit size at once, and the gate
-    reads the condition number off the union of the blocks' singular
-    values.  A class that fails the gate there is densified and pivoted as
-    on the other path.  Then only the kept labels are densified, all four
-    classes in one _class_rows call.  Either way the kept rows form the
-    basis's one (n, n) array of unit rows in record order (class, then scan
-    order), which _assemble turns into records.  Raises if any class misses
-    its multiplicity, which would indicate a bug rather than bad input.
+    CGS2 (see _first_fit), and the gate takes the SVD of the kept rows.
+    For c > 1 no class is densified: each candidate is written in
+    stride-eta1 train coordinates, where the class splits into mutually
+    orthogonal orbit blocks of at most 4n/c**2 coordinates (see
+    _select_in_blocks).  First fit runs over all blocks of one orbit size
+    at once (see _stacked_first_fit), and the gate reads the condition
+    number off the union of the blocks' singular values.  A class that
+    fails the gate there is densified and pivoted as on the other path.  Then only the
+    kept labels are densified, all four classes in one _class_rows call.
+    Either way the kept rows form the basis's one (n, n) array of unit rows
+    in record order (class, then scan order), which _assemble turns into
+    records.  Raises if any class misses its multiplicity, which would
+    indicate a bug rather than bad input.
     """
     eta = eta_pair(n)
     dims = multiplicities(n).dims
     position = np.arange(n)  # position a*eta2 + b holds label (k, a, b)
     a, b = np.divmod(position, eta.eta2)
     mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)
-    if math.gcd(eta.eta1, eta.eta2) > 2:
+    if math.gcd(eta.eta1, eta.eta2) > 1:
         kept, condition, zeros = _select_in_blocks(eta, mirror, tol)
         gated = np.flatnonzero(condition > CONDITION_BOUND).tolist()
         gathers = _power_gathers(n) if gated else None

@@ -238,8 +238,8 @@ def _expected_labels(n, tol):
     return [(k, *divmod(i, eta2)) for k, kept in _reference_labels(n, tol) for i in kept]
 
 
-# 144, 225, 256 and 576 take the orbit-block path (c > 2) with blocks past 128
-@pytest.mark.parametrize("n", list(range(1, 129)) + [144, 225, 256, 257, 509, 576, 601])
+# past 128, 144, 224 (c = 2), 225, 256 and 576 take the orbit-block path (c > 1)
+@pytest.mark.parametrize("n", list(range(1, 129)) + [144, 224, 225, 256, 257, 509, 576, 601])
 def test_build_basis_keeps_the_reference_rows(n):
     # mirror pruning, block first fit, orbit blocks and deferred pivoting change no label
     for value in PARITY_TOLS:
@@ -247,11 +247,12 @@ def test_build_basis_keeps_the_reference_rows(n):
         assert build_basis(n, tol).labels() == _expected_labels(n, tol), value
 
 
-@pytest.mark.parametrize("n, bound", [(108, 5.0), (180, 7.0)])
+@pytest.mark.parametrize("n, bound", [(108, 5.0), (180, 7.0), (120, 12.0)])
 def test_gated_block_classes_fall_back_to_dense_pivoting(monkeypatch, n, bound):
-    # c = 3.  First fit leaves condition 10.3 in every class at 108, and
-    # 5.0, 7.8, 10.4, 5.0 at 180, so the lowered gate fires in all classes
-    # at 108 and in classes 1 and 2 at 180.
+    # c = 3 at 108 and 180, c = 2 at 120.  First fit leaves condition 10.3
+    # in every class at 108, 5.0, 7.8, 10.4, 5.0 at 180, and 10.3, 14.5,
+    # 10.3, 13.7 at 120, so the lowered gate fires in all classes at 108,
+    # in classes 1 and 2 at 180, and in classes 1 and 3 at 120.
     tol = TolerancePolicy()
     unpatched = build_basis(n, tol).labels()
     monkeypatch.setattr(dfteig.basis, "CONDITION_BOUND", bound)
