@@ -173,7 +173,7 @@ class EigenBasis:
     per_class_counts: tuple[int, int, int, int]
     zero_candidates: int = 0  # vanishing projections among all 4n candidates
     _matrix: Optional[np.ndarray] = field(default=None, repr=False)
-    _gram: Optional[np.ndarray] = field(default=None, repr=False)
+    _grams: Optional[list] = field(default=None, repr=False)
     _reports: dict = field(default_factory=dict, repr=False)
     _labels: Optional[tuple] = field(default=None, repr=False)
     _solver: Optional[list] = field(default=None, repr=False)
@@ -208,11 +208,23 @@ class EigenBasis:
         return self._matrix
 
     def gram_matrix(self) -> np.ndarray:
-        """All pairwise inner products <v_i, v_j> of the unit vectors."""
-        if self._gram is None:
-            mat = self.dense_matrix()
-            self._gram = mat @ mat.conj().T
-        return self._gram
+        """All pairwise inner products <v_i, v_j> of the unit vectors, not cached."""
+        mat = self.dense_matrix()
+        return mat @ mat.conj().T
+
+    def _class_grams(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Positions and Gram block of each class, each from its class's rows alone.
+
+        Distinct classes are orthogonal, so these blocks are all of the Gram
+        that is read: a quarter of its flops and of its memory.
+        """
+        if self._grams is None:
+            ks = np.array([rec.k for rec in self.vectors], dtype=np.intp)
+            self._grams = []
+            for pos in (np.flatnonzero(ks == k) for k in range(4)):
+                rows = self._matrix[pos]
+                self._grams.append((pos, rows @ rows.conj().T))
+        return self._grams
 
 
 def _ill_conditioned(units: np.ndarray) -> bool:
@@ -663,12 +675,14 @@ def check_uncertainty(v, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
 
 @dataclass(frozen=True)
 class GramReport:
-    """Orthogonality certificate for one basis.
+    """Orthogonality certificate for one basis, read off its class Gram blocks.
 
-    When the basis is not orthogonal, `witness` names a pair of selected
-    vectors that is neither orthogonal nor collinear, with its inner
-    product: the first such pair, in upper-triangle order, whose inner
-    product's modulus is within _TIE_MARGIN of the largest.
+    `max_offdiag` is the largest |<v_i, v_j>| within a class (verify
+    certifies distinct classes orthogonal).  When the basis is not
+    orthogonal, `witness` names a pair of selected vectors that is neither
+    orthogonal nor collinear, with its inner product: the first such pair,
+    in upper-triangle order, whose inner product's modulus is within
+    _TIE_MARGIN of the largest.
     """
 
     n: int
@@ -678,35 +692,27 @@ class GramReport:
 
 
 def gram_report(basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL) -> GramReport:
-    """Compute all pairwise inner products and classify the basis."""
+    """Classify the basis from the pairs i < j within each class."""
     key = (tol.zero_tol, tol.residual_tol)
-    cached = basis._reports.get(key)
-    if cached is not None:
-        return cached
-    gram = basis.gram_matrix()
-    size = len(gram)  # basis.n unless a file lacked records
-    off = np.abs(gram - np.eye(size))
-    max_off = float(off.max())
-    if max_off <= tol.residual_tol:
-        report = GramReport(
-            n=basis.n, is_orthogonal=True, max_offdiag=max_off, witness=None
-        )
-    else:
-        iu, ju = np.triu_indices(size, k=1)
-        vals = np.abs(gram[iu, ju])
-        usable = (vals > tol.residual_tol) & (vals < 1.0 - tol.residual_tol)
+    if key not in basis._reports:
+        pairs = []
+        for pos, g in basis._class_grams():
+            iu, ju = np.triu_indices(len(pos), k=1)
+            pairs.append((pos[iu], pos[ju], g[iu, ju]))
+        i, j, vals = (np.concatenate(part) for part in zip(*pairs))
+        mods = np.abs(vals)
+        max_off = float(mods.max(initial=0.0))
+        usable = (mods > tol.residual_tol) & (mods < 1.0 - tol.residual_tol)
         witness = None
         if np.any(usable):
-            vals = np.where(usable, vals, -1.0)  # the first pair tied at the largest wins
-            pos = int(np.argmax(vals >= vals.max() * (1.0 - _TIE_MARGIN)))
-            i, j = int(iu[pos]), int(ju[pos])
-            labels = basis.labels()
-            witness = (labels[i], labels[j], complex(gram[i, j]))
-        report = GramReport(
-            n=basis.n, is_orthogonal=False, max_offdiag=max_off, witness=witness
-        )
-    basis._reports[key] = report
-    return report
+            mods = np.where(usable, mods, -1.0)
+            tied = np.flatnonzero(mods >= mods.max() * (1.0 - _TIE_MARGIN))
+            first = tied[np.lexsort((j[tied], i[tied]))[0]]  # the first tied pair wins
+            rec_i, rec_j = basis.vectors[i[first]], basis.vectors[j[first]]
+            witness = (rec_i.label, rec_j.label, complex(vals[first]))
+        orthogonal = max_off <= tol.residual_tol
+        basis._reports[key] = GramReport(basis.n, orthogonal, max_off, witness)
+    return basis._reports[key]
 
 
 def orthogonality_survey(

@@ -81,10 +81,11 @@ def _verify_checks(basis, tol):
 
     The eigenvector residuals and the uncertainty bounds both come from
     one product of the stacked unit rows with the reference DFT matrix
-    (see _oracle_pass).  The rank is the count of singular values above
-    residual_tol of each class's stacked unit rows, summed over the
-    classes, which cross-class-orthogonality certifies to be orthogonal;
-    its detail gives the smallest singular value, the check's margin.
+    (see _oracle_pass); they also bound every inner product across two
+    classes.  The rank is the count of singular values above residual_tol
+    of each class's stacked unit rows, summed over the classes, which
+    cross-class-orthogonality certifies to be orthogonal; its detail gives
+    the smallest singular value, the check's margin.
     """
     n = basis.n
     dims = multiplicities(n).dims
@@ -127,30 +128,27 @@ def _verify_checks(basis, tol):
         "all vectors" if not failing else f"violated at {failing[:3]}",
     )
 
-    gram = basis.gram_matrix()
-    cross = np.abs(gram[ks[:, None] != ks[None, :]])
-    cross_max = float(cross.max()) if cross.size else 0.0
-    yield (
-        "cross-class-orthogonality",
-        cross_max <= tol.residual_tol,
-        f"max {cross_max:.3e}",
+    # D is unitary: for unit u, v with D u = lam u + r_u, D v = mu v + r_v and
+    # lam != mu, |<u, v>| <= (|r_u| + |r_v| + |r_u| |r_v|) / |lam - mu|
+    eps = {k: float(residuals[ks == k].max()) for k in set(ks.tolist())}
+    bound = max(
+        [(eps[k] + eps[l] + eps[k] * eps[l]) / abs(EIGENVALUES[k] - EIGENVALUES[l])
+         for k in eps for l in eps if k < l],
+        default=0.0,
     )
+    detail = f"bound {bound:.3e} from the eigenvector residuals"
+    yield "cross-class-orthogonality", bound <= tol.residual_tol, detail
 
     report = gram_report(basis, tol)
     expected = _expected_orthogonal(n)
     if report.is_orthogonal:
-        ok = expected
-        detail = f"orthogonal (max offdiag {report.max_offdiag:.3e})"
+        ok, detail = expected, f"orthogonal (max offdiag {report.max_offdiag:.3e})"
+    elif report.witness:
+        w1, w2, val = report.witness
+        ok = not expected
+        detail = f"non-orthogonal, witness <{w1}, {w2}> = {val.real:.6f}{val.imag:+.6f}i"
     else:
-        ok = (not expected) and report.witness is not None
-        if report.witness:
-            w1, w2, val = report.witness
-            detail = (
-                f"non-orthogonal, witness <{w1}, {w2}> = "
-                f"{val.real:.6f}{val.imag:+.6f}i"
-            )
-        else:
-            detail = "non-orthogonal but no witness found"
+        ok, detail = False, "non-orthogonal but no witness found"
     yield "gram-classification", ok, detail
 
 

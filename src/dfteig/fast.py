@@ -103,20 +103,15 @@ def _selected_correlations(tensor: CorrelationTensor, basis: EigenBasis) -> np.n
 def _class_solvers(basis: EigenBasis) -> list[tuple[np.ndarray, np.ndarray]]:
     """Positions and inverse Gram block of each class, computed once per basis.
 
-    Vectors of different classes are eigenvectors of the unitary DFT for
-    distinct eigenvalues, so the Gram is block-diagonal by class.  Each
-    block is indexed by its class's positions, which need not be contiguous
-    in an imported file.
+    Inverts the class Gram blocks cached on the basis (`_class_grams`); the
+    Gram is block-diagonal by class, so they are the whole system.
     """
     if basis._solver is None:
-        classes, _, _ = basis._label_arrays()
-        gram = basis.gram_matrix()
         solvers = []
-        for k in range(4):
-            pos = np.flatnonzero(classes == k)
+        for k, (pos, gram) in enumerate(basis._class_grams()):
             # system matrix A[m, l] = <u_l, u_m> = gram[l, m]
             try:
-                solvers.append((pos, np.linalg.inv(gram[np.ix_(pos, pos)].T)))
+                solvers.append((pos, np.linalg.inv(gram.T)))
             except np.linalg.LinAlgError as exc:
                 raise RuntimeError(
                     f"n={basis.n}: singular Gram system in class {k}; "
@@ -160,9 +155,9 @@ def to_coefficients(
 
     For an orthogonal basis the coefficients are the selected correlation
     entries.  Otherwise the Gram system is solved class by class: the Gram
-    is block-diagonal by class, so the inverse of each class's block is
-    computed once and cached on the basis, about n/4 rows each in place of
-    one n x n inverse.  The solution is then sharpened by residual
+    is block-diagonal by class, so only each class's block, about n/4
+    square, is formed from that class's rows and inverted, once per basis,
+    and no n x n Gram is built.  The solution is then sharpened by residual
     correction through the fast synthesis path until the reconstruction
     meets residual_tol.  Every step is linear, so a vector whose norm would
     over- or underflow is solved at unit scale, by an exact power of two,

@@ -427,7 +427,12 @@ def test_gram_witness_is_the_first_pair_tied_at_the_largest(n):
     if report.is_orthogonal:
         assert report.witness is None
         return
-    gram, labels, tol = basis.gram_matrix(), basis.labels(), 1e-9
+    rows, labels, tol = basis.dense_matrix(), basis.labels(), 1e-9
+    ks = np.array([label[0] for label in labels])
+    gram = np.zeros((n, n), dtype=complex)  # distinct classes are orthogonal
+    for k in range(4):  # each class block is the product of that class's rows
+        pos = np.flatnonzero(ks == k)
+        gram[np.ix_(pos, pos)] = rows[pos] @ rows[pos].conj().T
     pairs = [
         (abs(gram[i, j]), i, j) for i in range(n) for j in range(i + 1, n)
         if tol < abs(gram[i, j]) < 1 - tol

@@ -7,17 +7,21 @@ import pytest
 
 from dfteig import (
     DEFAULT_TOL,
+    EigenBasis,
     EliminationState,
     TolerancePolicy,
     build_basis,
     check_uncertainty,
+    gram_report,
     import_basis,
     read_vector,
+    to_coefficients,
     try_extend_rank,
     verify_eigenvector,
     write_vector,
 )
 from dfteig.cli import _oracle_pass, _verify_checks, entrypoint, main
+from dfteig.projection import EIGENVALUES
 
 
 def test_build_json(tmp_path, capsys):
@@ -49,8 +53,10 @@ def test_build_usage_error_without_out():
     assert main(["build", "--n", "4"]) == 2
 
 
+# n = 1, 2, 3 leave classes empty: dims (1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0)
 @pytest.mark.parametrize(
-    "n,expect_orthogonal", [(25, True), (8, True), (12, False), (103, False)]
+    "n,expect_orthogonal",
+    [(1, True), (2, True), (3, True), (25, True), (8, True), (12, False), (103, False)],
 )
 def test_verify_classification(n, expect_orthogonal, capsys):
     assert main(["verify", "--n", str(n)]) == 0
@@ -357,6 +363,46 @@ def test_oracle_pass_matches_per_vector_oracle(n):
     for rec, residual, verdict in zip(basis.vectors, residuals, verdicts):
         assert abs(residual - verify_eigenvector(rec.dense, rec.k)) <= 1e-14
         assert verdict == check_uncertainty(rec.dense)
+
+
+def test_commands_never_form_the_whole_gram(tmp_path, monkeypatch, capsys):
+    # the solve, the report, verify and survey read the class blocks only
+    def whole_gram(self):
+        raise AssertionError("the (n, n) Gram was formed")
+
+    monkeypatch.setattr(EigenBasis, "gram_matrix", whole_gram)
+    basis = build_basis(61)
+    v = np.random.default_rng(61).standard_normal(61) + 0j
+    assert not gram_report(basis).is_orthogonal
+    coeff = to_coefficients(v, basis)
+    assert np.linalg.norm(basis.dense_matrix().T @ coeff - v) <= 1e-9 * np.linalg.norm(v)
+    path = tmp_path / "b12.json"
+    assert main(["build", "--n", "12", "--out", str(path)]) == 0
+    assert main(["verify", "--input", str(path)]) == 0
+    assert main(["verify", "--n", "25"]) == 0
+    assert main(["survey", "--max-n", "12"]) == 0
+
+
+def test_perturbed_row_fails_cross_class_bound():
+    basis = build_basis(12)
+    rows = basis.dense_matrix()
+    rng = np.random.default_rng(12)
+    rows[0] += 1e-6 * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    rows[0] /= np.linalg.norm(rows[0])
+    residuals, _ = _oracle_pass(basis, DEFAULT_TOL)
+    ks = np.array([rec.k for rec in basis.vectors])
+    eps = [residuals[ks == k].max() for k in range(4)]
+    bound = max(
+        (eps[k] + eps[l] + eps[k] * eps[l]) / abs(EIGENVALUES[k] - EIGENVALUES[l])
+        for k in range(4) for l in range(k + 1, 4)
+    )
+    checks = {name: (ok, detail) for name, ok, detail in _verify_checks(basis, DEFAULT_TOL)}
+    assert checks["cross-class-orthogonality"] == (
+        False, f"bound {bound:.3e} from the eigenvector residuals"
+    )
+    # the bound holds for every inner product across two classes
+    gram = rows @ rows.conj().T
+    assert np.abs(gram[ks[:, None] != ks[None, :]]).max() <= bound
 
 
 def test_verify_requires_target(capsys):

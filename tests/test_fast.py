@@ -22,7 +22,7 @@ from dfteig import (
     to_coefficients,
     train_correlations,
 )
-from dfteig.fast import _projection_recipe
+from dfteig.fast import _class_solvers, _projection_recipe, _solve
 
 
 def random_vector(n, seed=0):
@@ -226,6 +226,20 @@ def test_coefficients_match_dense_solve(n):
     bound = DEFAULT_TOL.residual_tol * np.sqrt(kappa) + n * np.finfo(float).eps * kappa
     coeff = to_coefficients(v, basis)
     assert np.linalg.norm(coeff - expected) <= bound * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_empty_classes_report_and_solve(n):
+    # dims (1, 0, 0, 0), (1, 0, 1, 0) and (1, 1, 1, 0): an empty class has an
+    # empty Gram block and an empty inverse
+    basis = build_basis(n)
+    assert gram_report(basis).is_orthogonal
+    solvers = _class_solvers(basis)
+    assert [len(pos) for pos, _ in solvers] == list(basis.per_class_counts)
+    v = random_vector(n, seed=n)
+    coeff = to_coefficients(v, basis)
+    assert np.allclose(_solve(solvers, coeff), coeff, rtol=0, atol=1e-15)
+    assert np.linalg.norm(synthesize(coeff, basis) - v) <= 1e-9 * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**600], ids=["1e200", "1e-200", "2**600"])
