@@ -29,17 +29,19 @@ certify the support bounds, the eigenvalue multiplicities, the
 support/spectrum uncertainty constraints, and the orthogonality
 classification.
 
-A basis stores its unit rows once, as one (n, n) array in record order:
-each record's `dense` is a view of its row, and the array is the basis's
-dense_matrix().  build_basis and import both make their bases through
-_assemble, which counts supports and builds the records.
+A basis is a set of arrays in vector order: each vector's class,
+position a*eta2 + b, scale and support, and one (n, n) array of unit rows,
+its dense_matrix().  Both selection paths yield only their kept positions,
+which _unit_rows turns into unit rows and norms, as it does for import;
+_assemble then counts the supports.  Records, class Gram blocks and their
+inverses are derived from the arrays on first read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -134,15 +136,16 @@ def enumerate_candidates(
                 yield k, a, b, project(k, g)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BasisVectorRecord:
     """One selected eigenvector, the projected train P_k g_{eta1}(a, b).
 
-    The label (k, a, b) fixes the vector.  `dense` is unit-normalized, a
-    row view of its basis's dense_matrix(); `scale` is the norm of the raw
-    projected train, so scale * dense reproduces densify_sum(sum).  `sum`,
-    the train's four-term symbolic projection, is derived from the label on
-    first read.
+    The label (k, a, b) fixes the vector.  A record is a read-only view
+    built on request from its basis's arrays (EigenBasis.vectors): `dense`
+    is a read-only view of its row of dense_matrix(), so editing a record
+    cannot change the basis.  `scale` is the norm of the raw projected train,
+    so scale * dense reproduces densify_sum(sum).  `sum`, the train's
+    four-term symbolic projection, is derived from the label on first read.
     """
 
     k: int
@@ -165,66 +168,100 @@ class BasisVectorRecord:
 
 @dataclass(eq=False)
 class EigenBasis:
-    """n selected eigenvectors, their unit rows held once, with lazy derived caches."""
+    """n selected eigenvectors as arrays in vector order; all else derived on first read.
+
+    Vector i is the unit projected train of class classes[i] and position
+    a*eta2 + b = positions[i], with raw norm scale[i] and support[i]
+    nonzeros; `rows` holds the unit rows and is the dense_matrix().  The
+    records, the class Gram blocks, their inverses and the flat labels are
+    cached properties.
+    """
 
     n: int
     eta: DivisorPair
-    vectors: list[BasisVectorRecord]
-    per_class_counts: tuple[int, int, int, int]
+    classes: np.ndarray  # intp
+    positions: np.ndarray  # intp
+    scale: np.ndarray
+    support: np.ndarray  # intp
+    rows: np.ndarray
     zero_candidates: int = 0  # vanishing projections among all 4n candidates
-    _matrix: Optional[np.ndarray] = field(default=None, repr=False)
-    _grams: Optional[list] = field(default=None, repr=False)
-    _reports: dict = field(default_factory=dict, repr=False)
-    _labels: Optional[tuple] = field(default=None, repr=False)
-    _solver: Optional[list] = field(default=None, repr=False)
+
+    @functools.cached_property
+    def vectors(self) -> list[BasisVectorRecord]:
+        """The records, built on first read; each `dense` is a read-only view of its row."""
+        view = self.rows.view()
+        view.flags.writeable = False
+        return [
+            BasisVectorRecord(k=k, a=a, b=b, dense=row, support=s, scale=scale)
+            for (k, a, b), row, s, scale in zip(
+                self.labels(), view, self.support.tolist(), self.scale.tolist()
+            )
+        ]
+
+    @property
+    def per_class_counts(self) -> tuple[int, int, int, int]:
+        return tuple(np.bincount(self.classes, minlength=4).tolist())
 
     def labels(self) -> list[tuple[int, int, int]]:
-        return [rec.label for rec in self.vectors]
+        a, b = np.divmod(self.positions, self.eta.eta2)
+        return list(zip(self.classes.tolist(), a.tolist(), b.tolist()))
 
     def scales(self) -> np.ndarray:
-        return np.array([rec.scale for rec in self.vectors], dtype=np.float64)
-
-    def _label_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Class, flat tensor index (k*eta1 + a)*eta2 + b and scale per vector.
-
-        Built once, for the change of basis, which addresses the flattened
-        (4, eta1, eta2) correlation tensor by label.  Refuses a basis that
-        does not hold n vectors, such as a file missing a record: it cannot
-        span the space, so no coefficients would reconstruct a vector.
-        """
-        if self._labels is None:
-            if len(self.vectors) != self.n:
-                raise ValueError(
-                    f"basis holds {len(self.vectors)} vectors, expected n={self.n}; "
-                    "an incomplete basis cannot change basis"
-                )
-            k, a, b = np.array(self.labels(), dtype=np.intp).reshape(-1, 3).T
-            flat = (k * self.eta.eta1 + a) * self.eta.eta2 + b
-            self._labels = (k, flat, self.scales())
-        return self._labels
+        return self.scale.copy()
 
     def dense_matrix(self) -> np.ndarray:
-        """The unit rows in record order: record i's `dense` is row i."""
-        return self._matrix
+        """The unit rows in vector order: record i's `dense` is row i."""
+        return self.rows
 
     def gram_matrix(self) -> np.ndarray:
         """All pairwise inner products <v_i, v_j> of the unit vectors, not cached."""
-        mat = self.dense_matrix()
-        return mat @ mat.conj().T
+        return self.rows @ self.rows.conj().T
 
+    @functools.cached_property
+    def _flat(self) -> np.ndarray:
+        """Flat index k*n + a*eta2 + b of each vector in the (4, eta1, eta2) correlations.
+
+        Refuses a basis that does not hold n vectors, such as a file missing
+        a record: it cannot span the space, so no coefficients reconstruct it.
+        """
+        if self.classes.size != self.n:
+            raise ValueError(
+                f"basis holds {self.classes.size} vectors, expected n={self.n}; "
+                "an incomplete basis cannot change basis"
+            )
+        return self.classes * self.n + self.positions
+
+    @functools.cached_property
     def _class_grams(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Positions and Gram block of each class, each from its class's rows alone.
 
         Distinct classes are orthogonal, so these blocks are all of the Gram
         that is read: a quarter of its flops and of its memory.
         """
-        if self._grams is None:
-            ks = np.array([rec.k for rec in self.vectors], dtype=np.intp)
-            self._grams = []
-            for pos in (np.flatnonzero(ks == k) for k in range(4)):
-                rows = self._matrix[pos]
-                self._grams.append((pos, rows @ rows.conj().T))
-        return self._grams
+        grams = []
+        for pos in (np.flatnonzero(self.classes == k) for k in range(4)):
+            rows = self.rows[pos]
+            grams.append((pos, rows @ rows.conj().T))
+        return grams
+
+    @functools.cached_property
+    def _class_solvers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Positions and inverse Gram block of each class: the Gram system, solved."""
+        solvers = []
+        for k, (pos, gram) in enumerate(self._class_grams):
+            # system matrix A[m, l] = <u_l, u_m> = gram[l, m]
+            try:
+                solvers.append((pos, np.linalg.inv(gram.T)))
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(
+                    f"n={self.n}: singular Gram system in class {k}; "
+                    "the basis is corrupted"
+                ) from exc
+        return solvers
+
+    @functools.cached_property
+    def _reports(self) -> dict:  # gram_report's, by tolerance
+        return {}
 
 
 def _ill_conditioned(units: np.ndarray) -> bool:
@@ -473,7 +510,7 @@ def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: TolerancePolicy
 
 
 def _dense_pool(n: int, k: int, mirror: np.ndarray, gathers, tol: TolerancePolicy):
-    """Class k densified: its n unit rows, their norms, its pool, and its vanishing rows.
+    """Class k densified: its n unit rows, its pool, and its number of vanishing rows.
 
     The rows come from one scatter (see projection._class_rows), in scan
     order, and rows whose projection vanished are left unnormalized.  The
@@ -484,7 +521,21 @@ def _dense_pool(n: int, k: int, mirror: np.ndarray, gathers, tol: TolerancePolic
     nonzero = scale > tol.residual_tol
     units /= np.where(nonzero, scale, 1.0)[:, None]
     pool = np.flatnonzero(nonzero & (mirror >= np.arange(n)))
-    return units, scale, pool, n - int(np.count_nonzero(nonzero))
+    return units, pool, n - int(np.count_nonzero(nonzero))
+
+
+def _unit_rows(n: int, classes: np.ndarray, positions: np.ndarray):
+    """The unit rows of labels (classes[i], positions[i]) and their raw trains' norms.
+
+    Row i is row positions[i] of _class_rows(n, classes[i]) divided by its
+    norm, and a vanishing row is left unnormalized; all rows come from one
+    gather and one scatter per DFT power.  build_basis and import both
+    make a basis's rows here.
+    """
+    rows = _class_rows(n, classes, positions)
+    norms = np.linalg.norm(rows, axis=1)
+    rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    return rows, norms
 
 
 def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
@@ -511,12 +562,12 @@ def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
     _select_in_blocks).  First fit runs over all blocks of one orbit size
     at once (see _stacked_first_fit), and the gate reads the condition
     number off the union of the blocks' singular values.  A class that
-    fails the gate there is densified and pivoted as on the other path.  Then only the
-    kept labels are densified, all four classes in one _class_rows call.
-    Either way the kept rows form the basis's one (n, n) array of unit rows
-    in record order (class, then scan order), which _assemble turns into
-    records.  Raises if any class misses its multiplicity, which would
-    indicate a bug rather than bad input.
+    fails the gate there is densified and pivoted as on the other path.
+    Either path yields only the kept positions of each class; once its
+    arrays are freed, _unit_rows densifies the kept labels, all four
+    classes in one call, in vector order (class, then scan order).  Raises
+    if any class misses its multiplicity, which would indicate a bug rather
+    than bad input.
     """
     eta = eta_pair(n)
     dims = multiplicities(n).dims
@@ -528,30 +579,21 @@ def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
         gated = np.flatnonzero(condition > CONDITION_BOUND).tolist()
         gathers = _power_gathers(n) if gated else None
         for k in gated:
-            units, _, pool, _ = _dense_pool(n, k, mirror, gathers, tol)
+            units, pool, _ = _dense_pool(n, k, mirror, gathers, tol)
             kept[k] = pool[_pivot_rows(units[pool], dims[k], tol)]
             del units  # freed before the next class is densified
-        ks = np.repeat(np.arange(4), [fit.size for fit in kept])
-        rows = _class_rows(n, ks, np.concatenate(kept))
-        scales = np.linalg.norm(rows, axis=1)
-        rows /= scales[:, None]
     else:
-        kept, scales, zeros = [], [], 0
-        rows = np.empty((n, n), dtype=np.complex128)  # the basis's unit rows
+        kept, zeros = [], 0
         gathers = _power_gathers(n)
         for k in range(4):
-            units, scale, pool, vanishing = _dense_pool(n, k, mirror, gathers, tol)
+            units, pool, vanishing = _dense_pool(n, k, mirror, gathers, tol)
             zeros += vanishing
             fit = pool[_first_fit(units, pool, dims[k], tol)]
-            start = sum(part.size for part in kept)
-            dense = np.take(units, fit, axis=0, out=rows[start:start + fit.size])
-            if fit.size and _ill_conditioned(dense):
+            if fit.size and _ill_conditioned(units[fit]):
                 fit = pool[_pivot_rows(units[pool], dims[k], tol)]
-                np.take(units, fit, axis=0, out=rows[start:start + fit.size])
             kept.append(fit)
-            scales.append(scale[fit])
             del units  # freed before the next class is densified
-        scales = np.concatenate(scales)
+    del gathers  # freed before the kept rows are densified
     for k, fit in enumerate(kept):
         if fit.size != dims[k]:
             raise RuntimeError(
@@ -559,30 +601,24 @@ def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
                 f"{dims[k]}; the projected trains failed to span the class, "
                 "which indicates an implementation bug"
             )
-    labels = [
-        (k, *divmod(i, eta.eta2)) for k, fit in enumerate(kept) for i in fit.tolist()
-    ]
-    return _assemble(eta, labels, scales.tolist(), rows, tol, zeros)
+    classes = np.repeat(np.arange(4), dims)
+    positions = np.concatenate(kept)
+    rows, scales = _unit_rows(n, classes, positions)
+    return _assemble(eta, classes, positions, scales, rows, tol, zeros)
 
 
 def _assemble(
-    eta: DivisorPair, labels, scales, rows: np.ndarray, tol: TolerancePolicy, zero_candidates
+    eta: DivisorPair, classes, positions, scales, rows, tol: TolerancePolicy, zero_candidates
 ) -> EigenBasis:
-    """The basis whose record i has label labels[i], scale scales[i] and unit row rows[i].
+    """The basis of the given per-vector arrays and unit rows, all in vector order.
 
     The one assembly shared by build_basis and import: supports are counted
-    at zero_tol in one pass, each record's `dense` is a row view of `rows`,
-    and `rows`, in record order, is the basis's dense_matrix().
+    at zero_tol in one pass, and `rows` is the basis's dense_matrix().
     """
-    support = np.count_nonzero(np.abs(rows) > tol.zero_tol, axis=1).tolist()
-    vectors = [
-        BasisVectorRecord(k=k, a=a, b=b, dense=row, support=s, scale=scale)
-        for (k, a, b), scale, row, s in zip(labels, scales, rows, support)
-    ]
-    counts = np.bincount([label[0] for label in labels], minlength=4)
+    support = np.count_nonzero(np.abs(rows) > tol.zero_tol, axis=1)
     return EigenBasis(
-        n=eta.n, eta=eta, vectors=vectors, per_class_counts=tuple(counts.tolist()),
-        zero_candidates=zero_candidates, _matrix=rows,
+        n=eta.n, eta=eta, classes=classes, positions=positions, scale=scales,
+        support=support, rows=rows, zero_candidates=zero_candidates,
     )
 
 
@@ -610,20 +646,23 @@ def audit_sparsity(basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL) -> Spa
     """
     lower = (basis.eta.eta1 + basis.eta.eta2) / 2
     upper = 2 * (basis.eta.eta1 + basis.eta.eta2)
-    for rec in basis.vectors:
-        if rec.support < lower - tol.zero_tol or rec.support > upper:
-            raise VerificationError(
-                f"vector (k={rec.k}, a={rec.a}, b={rec.b}) has support "
-                f"{rec.support}, outside [{lower}, {upper}]"
-            )
-    supports = [rec.support for rec in basis.vectors]
+    support = basis.support
+    outside = np.flatnonzero((support < lower - tol.zero_tol) | (support > upper))
+    if outside.size:
+        i = outside[0]
+        k, a, b = basis.labels()[i]
+        raise VerificationError(
+            f"vector (k={k}, a={a}, b={b}) has support "
+            f"{support[i]}, outside [{lower}, {upper}]"
+        )
+    top = int(support.max())
     audit = SparsityAudit(
         n=basis.n,
-        max_support=max(supports),
-        min_support=min(supports),
+        max_support=top,
+        min_support=int(support.min()),
         lower_bound=lower,
         upper_bound=upper,
-        ratio=max(supports) / lower,
+        ratio=top / lower,
     )
     if audit.ratio > 4.0 + tol.zero_tol:
         raise VerificationError(
@@ -696,7 +735,7 @@ def gram_report(basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL) -> GramRe
     key = (tol.zero_tol, tol.residual_tol)
     if key not in basis._reports:
         pairs = []
-        for pos, g in basis._class_grams():
+        for pos, g in basis._class_grams:
             iu, ju = np.triu_indices(len(pos), k=1)
             pairs.append((pos[iu], pos[ju], g[iu, ju]))
         i, j, vals = (np.concatenate(part) for part in zip(*pairs))
@@ -708,21 +747,24 @@ def gram_report(basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL) -> GramRe
             mods = np.where(usable, mods, -1.0)
             tied = np.flatnonzero(mods >= mods.max() * (1.0 - _TIE_MARGIN))
             first = tied[np.lexsort((j[tied], i[tied]))[0]]  # the first tied pair wins
-            rec_i, rec_j = basis.vectors[i[first]], basis.vectors[j[first]]
-            witness = (rec_i.label, rec_j.label, complex(vals[first]))
+            labels = basis.labels()
+            witness = (labels[i[first]], labels[j[first]], complex(vals[first]))
         orthogonal = max_off <= tol.residual_tol
         basis._reports[key] = GramReport(basis.n, orthogonal, max_off, witness)
     return basis._reports[key]
+
+
+def _survey(max_n: int, tol: TolerancePolicy) -> Iterator[tuple[EigenBasis, GramReport]]:
+    """Build and Gram-classify every dimension from 2 through max_n, in order."""
+    if max_n < 2:
+        raise ValueError("max_n must be at least 2")
+    for n in range(2, max_n + 1):
+        basis = build_basis(n, tol)
+        yield basis, gram_report(basis, tol)
 
 
 def orthogonality_survey(
     max_n: int, tol: TolerancePolicy = DEFAULT_TOL
 ) -> list[tuple[int, bool]]:
     """Build and Gram-classify every dimension from 2 through max_n."""
-    if max_n < 2:
-        raise ValueError("max_n must be at least 2")
-    results = []
-    for n in range(2, max_n + 1):
-        report = gram_report(build_basis(n, tol), tol)
-        results.append((n, report.is_orthogonal))
-    return results
+    return [(basis.n, report.is_orthogonal) for basis, report in _survey(max_n, tol)]

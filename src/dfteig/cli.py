@@ -15,6 +15,7 @@ import numpy as np
 
 from .basis import (
     _divisors,
+    _survey,
     _uncertainty_ok,
     audit_sparsity,
     build_basis,
@@ -48,7 +49,7 @@ def cmd_build(args) -> int:
     export_basis(basis, args.out, fmt=args.format)
     print(
         f"wrote {args.out}: n={basis.n} eta=({basis.eta.eta1},{basis.eta.eta2}) "
-        f"vectors={len(basis.vectors)} per-class={basis.per_class_counts}"
+        f"vectors={basis.classes.size} per-class={basis.per_class_counts}"
     )
     return 0
 
@@ -71,7 +72,7 @@ def _oracle_pass(basis, tol):
     spectral = np.count_nonzero(np.abs(spectra) > limits, axis=1).tolist()
     divs = _divisors(basis.n)
     verdicts = [_uncertainty_ok(basis.n, s, sp, divs) for s, sp in zip(supports, spectral)]
-    lams = np.array([EIGENVALUES[rec.k] for rec in basis.vectors])
+    lams = np.array(EIGENVALUES)[basis.classes]
     spectra -= lams[:, None] * mat
     return np.linalg.norm(spectra, axis=1) / norms, verdicts
 
@@ -103,7 +104,7 @@ def _verify_checks(basis, tol):
         f"max {worst:.3e}",
     )
 
-    rows, ks = basis.dense_matrix(), np.array([rec.k for rec in basis.vectors])
+    rows, ks = basis.dense_matrix(), basis.classes
     blocks = [rows[ks == k] for k in range(4) if k in ks]
     sv = np.concatenate([np.linalg.svd(block, compute_uv=False) for block in blocks])
     rank = int(np.count_nonzero(sv > tol.residual_tol))
@@ -121,7 +122,7 @@ def _verify_checks(basis, tol):
     except VerificationError as exc:
         yield "sparsity-bounds", False, str(exc)
 
-    failing = [rec.label for rec, ok in zip(basis.vectors, verdicts) if not ok]
+    failing = [label for label, ok in zip(basis.labels(), verdicts) if not ok]
     yield (
         "uncertainty-bounds",
         not failing,
@@ -198,15 +199,12 @@ def cmd_survey(args) -> int:
     tol = _tolerance(args)
     rows = []
     orthogonal = []
-    for n in range(2, args.max_n + 1):
-        basis = build_basis(n, tol)
-        audit = audit_sparsity(basis, tol)
-        report = gram_report(basis, tol)
-        rows.append((n, basis.eta, audit, report))
+    for basis, report in _survey(args.max_n, tol):
+        rows.append((basis.n, basis.eta, audit_sparsity(basis, tol), report))
         if report.is_orthogonal:
-            orthogonal.append(n)
+            orthogonal.append(basis.n)
         if not report.is_orthogonal and report.witness is None:
-            print(f"survey: n={n} non-orthogonal without witness", file=sys.stderr)
+            print(f"survey: n={basis.n} non-orthogonal without witness", file=sys.stderr)
             return 1
     if args.out:
         write_survey_csv(args.out, rows)

@@ -96,29 +96,7 @@ def analyze(v) -> CorrelationTensor:
 
 def _selected_correlations(tensor: CorrelationTensor, basis: EigenBasis) -> np.ndarray:
     """<v, u_m> for the unit basis vectors, read off the correlation tensor."""
-    _, flat, scales = basis._label_arrays()
-    return tensor.values.reshape(-1)[flat] / scales
-
-
-def _class_solvers(basis: EigenBasis) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Positions and inverse Gram block of each class, computed once per basis.
-
-    Inverts the class Gram blocks cached on the basis (`_class_grams`); the
-    Gram is block-diagonal by class, so they are the whole system.
-    """
-    if basis._solver is None:
-        solvers = []
-        for k, (pos, gram) in enumerate(basis._class_grams()):
-            # system matrix A[m, l] = <u_l, u_m> = gram[l, m]
-            try:
-                solvers.append((pos, np.linalg.inv(gram.T)))
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError(
-                    f"n={basis.n}: singular Gram system in class {k}; "
-                    "the basis is corrupted"
-                ) from exc
-        basis._solver = solvers
-    return basis._solver
+    return tensor.values.reshape(-1)[basis._flat] / basis.scale
 
 
 def _solve(solvers, rhs: np.ndarray) -> np.ndarray:
@@ -184,7 +162,7 @@ def to_coefficients(
     coeff = _selected_correlations(analyze(arr), basis)
     if gram_report(basis, tol).is_orthogonal:
         return coeff
-    solvers = _class_solvers(basis)
+    solvers = basis._class_solvers
     coeff = _solve(solvers, coeff)
     norm = float(np.linalg.norm(arr))
     for _ in range(60):
@@ -210,10 +188,9 @@ def synthesize(coefficients, basis: EigenBasis) -> np.ndarray:
     n = basis.n
     if coeffs.shape != (n,):
         raise ValueError(f"expected {n} coefficients, got shape {coeffs.shape}")
-    _, flat, scales = basis._label_arrays()
     eta, index, phases = _projection_recipe(n)
     weights = np.zeros(4 * n, dtype=np.complex128)
-    np.add.at(weights, flat, coeffs / scales)  # repeated labels sum
+    np.add.at(weights, basis._flat, coeffs / basis.scale)  # repeated labels sum
     terms = (_CHARACTERS.T @ weights.reshape(4, n)).reshape(phases.shape) * phases
     grids = {s: np.zeros(n, dtype=np.complex128) for s in {eta.eta1, eta.eta2}}
     for j in range(4):  # each power maps the labels onto its grid bijectively

@@ -7,15 +7,15 @@ exactly, so re-exporting an imported basis reproduces the file bit for bit.
 Basis exports are format_version 2: the header (n, eta1, eta2) and, per
 record, its label (k, a, b) and scale.  A record is the projected train
 P_k g_{eta1}(a, b), so a label fixes it and the scale, its norm, is the
-only number stored.  Import types and range-checks every label, refusing
-integer fields given as floats, strings or booleans, rebuilds the
-labelled rows of all four eigenvalue classes from the projection recipe
-in one pass, in file order, and checks each scale against its row's
-norm.  The normalized rows, one array in file order, become the basis
-through basis._assemble, the assembly build_basis also uses.  Any other
-format_version is refused.  Version-1 files, which also stored each
-record's symbolic terms and sparse entries, are refused with the command
-that rebuilds them.
+only number stored.  Export reads the basis's label and scale arrays.
+Import types and range-checks every label, refusing integer fields given
+as floats, strings or booleans, makes the unit rows of all labels in file
+order with basis._unit_rows, as build_basis does, and refuses a record
+whose projection vanishes or whose scale misses its row's norm by more
+than _LABEL_TOL, relative.  The basis keeps the file's scales and is made
+by basis._assemble.  Any other format_version is refused.  Version-1
+files, which also stored each record's symbolic terms and sparse entries,
+are refused with the command that rebuilds them.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import EigenBasis, _assemble
+from .basis import EigenBasis, _assemble, _unit_rows
 from .numerics import DEFAULT_TOL
-from .projection import _class_rows
 from .trains import DivisorPair, eta_pair
 
 __all__ = [
@@ -112,8 +111,8 @@ def export_basis(basis: EigenBasis, path, fmt: str = "json") -> None:
         "eta2": basis.eta.eta2,
     }
     vectors = [
-        {"k": rec.k, "a": rec.a, "b": rec.b, "scale": float(rec.scale)}
-        for rec in basis.vectors
+        {"k": k, "a": a, "b": b, "scale": scale}
+        for (k, a, b), scale in zip(basis.labels(), basis.scale.tolist())
     ]
     if fmt == "json":
         text = json.dumps({**header, "vectors": vectors})
@@ -167,36 +166,6 @@ def _check_version(version, n: int, path) -> None:
         )
 
 
-def _unit_rows(eta: DivisorPair, labels, scales) -> np.ndarray:
-    """The records' unit rows, rebuilt from their labels and checked against their scales.
-
-    A label's row is row a*eta2 + b of _class_rows(n, k), the raw projected
-    train P_k g_{eta1}(a, b); the labelled rows of every class come from
-    one gather and one scatter per DFT power.  A record is refused when
-    that projection vanishes or when its scale differs from the row's norm
-    by more than _LABEL_TOL, relative.  Each check runs over every record
-    in file order, and the first record it refuses is named.  The rows are
-    normalized in place.
-    """
-    k, a, b = np.array(labels).T
-    rows = _class_rows(eta.n, k, a * eta.eta2 + b)
-    norms = np.linalg.norm(rows, axis=1)
-    vanishing = np.flatnonzero(~(norms > DEFAULT_TOL.residual_tol))
-    if vanishing.size:
-        i = vanishing[0]
-        raise ValueError(f"vector {i}: the projection of label {labels[i]} vanishes")
-    error = np.abs(np.array(scales) - norms) / norms
-    bad = np.flatnonzero(~(error <= _LABEL_TOL))  # also refuses NaN
-    if bad.size:
-        i = bad[0]
-        raise ValueError(
-            f"vector {i}: scale of label {labels[i]} differ "
-            f"from its projected train by {error[i]:.2e} (limit {_LABEL_TOL:g})"
-        )
-    rows /= norms[:, None]
-    return rows
-
-
 def _records_from_payload(payload, path) -> EigenBasis:
     try:
         version = payload["format_version"]
@@ -233,11 +202,24 @@ def _records_from_payload(payload, path) -> EigenBasis:
             raise ValueError(f"{path}: vector {pos}: {exc}") from None
         labels.append(label)
         scales.append(scale)
-    try:
-        rows = _unit_rows(eta, labels, scales)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return _assemble(eta, labels, scales, rows, DEFAULT_TOL, 0)
+    classes, a, b = np.array(labels, dtype=np.intp).T
+    positions = a * eta.eta2 + b
+    rows, norms = _unit_rows(n, classes, positions)
+    # each check runs over every record, in file order, and names the first it refuses
+    vanishing = np.flatnonzero(~(norms > DEFAULT_TOL.residual_tol))
+    if vanishing.size:
+        i = vanishing[0]
+        raise ValueError(f"{path}: vector {i}: the projection of label {labels[i]} vanishes")
+    scales = np.array(scales, dtype=np.float64)
+    error = np.abs(scales - norms) / norms
+    bad = np.flatnonzero(~(error <= _LABEL_TOL))  # also refuses NaN
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"{path}: vector {i}: scale of label {labels[i]} differ "
+            f"from its projected train by {error[i]:.2e} (limit {_LABEL_TOL:g})"
+        )
+    return _assemble(eta, classes, positions, scales, rows, DEFAULT_TOL, 0)
 
 
 # the typed columns after the row kind, in CSV order

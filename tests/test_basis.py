@@ -315,17 +315,21 @@ def test_class_rows_selection_is_bitwise_the_selected_rows(n):
 
 @pytest.mark.parametrize("n", [16, 36, 103])
 def test_record_dense_is_a_row_of_the_basis_matrix(tmp_path, n):
-    # records pin the basis's one (n, n) array of unit rows, and no candidate array
+    # records are read-only views of the basis's arrays: they pin its one
+    # (n, n) array of unit rows, and no candidate array
     built = build_basis(n)
     path = tmp_path / "basis.json"
     export_basis(built, path)
     for basis in (built, import_basis(path)):
         matrix = basis.dense_matrix()
         assert matrix.shape == (n, n) and matrix.base is None
+        labels, scales = basis.labels(), basis.scales()
         for i, rec in enumerate(basis.vectors):
-            assert rec.dense.base is matrix
+            assert rec.label == labels[i]
+            assert rec.scale == scales[i] and rec.support == basis.support[i]
+            assert rec.dense.base is matrix and np.shares_memory(rec.dense, matrix[i])
             assert rec.dense.ctypes.data == matrix[i].ctypes.data
-            assert rec.dense.shape == (n,)
+            assert rec.dense.shape == (n,) and not rec.dense.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +476,8 @@ def test_orthogonality_survey_rejects_small_max():
 
 def test_sparsity_audit_failure_reports_label():
     basis = build_basis(6)
-    basis.vectors[0].support = 10 ** 6  # corrupt one record
+    basis.support[1] = 10 ** 6  # corrupt one vector
     with pytest.raises(VerificationError) as err:
         audit_sparsity(basis)
-    assert "k=" in str(err.value)
+    k, a, b = basis.labels()[1]
+    assert f"vector (k={k}, a={a}, b={b}) has support 1000000" in str(err.value)

@@ -7,6 +7,7 @@ import pytest
 
 from dfteig import (
     DEFAULT_TOL,
+    BasisVectorRecord,
     EigenBasis,
     EliminationState,
     TolerancePolicy,
@@ -15,6 +16,7 @@ from dfteig import (
     gram_report,
     import_basis,
     read_vector,
+    synthesize,
     to_coefficients,
     try_extend_rank,
     verify_eigenvector,
@@ -381,6 +383,22 @@ def test_commands_never_form_the_whole_gram(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--input", str(path)]) == 0
     assert main(["verify", "--n", "25"]) == 0
     assert main(["survey", "--max-n", "12"]) == 0
+
+
+@pytest.mark.parametrize("n", [61, 120, 576])
+def test_certify_and_solve_make_no_records(tmp_path, monkeypatch, capsys, n):
+    # build -> verify --input and a solve read the basis's arrays alone
+    def no_record(self, *args, **kwargs):
+        raise AssertionError("a BasisVectorRecord was made")
+
+    monkeypatch.setattr(BasisVectorRecord, "__init__", no_record)
+    path = tmp_path / "basis.json"
+    assert main(["build", "--n", str(n), "--out", str(path)]) == 0
+    assert main(["verify", "--input", str(path)]) == 0
+    basis = build_basis(n)
+    v = np.random.default_rng(n).standard_normal(n) + 0j
+    back = synthesize(to_coefficients(v, basis), basis)
+    assert np.linalg.norm(back - v) <= 1e-9 * np.linalg.norm(v)
 
 
 def test_perturbed_row_fails_cross_class_bound():

@@ -22,7 +22,7 @@ from dfteig import (
     to_coefficients,
     train_correlations,
 )
-from dfteig.fast import _class_solvers, _projection_recipe, _solve
+from dfteig.fast import _projection_recipe, _solve
 
 
 def random_vector(n, seed=0):
@@ -234,7 +234,7 @@ def test_empty_classes_report_and_solve(n):
     # empty Gram block and an empty inverse
     basis = build_basis(n)
     assert gram_report(basis).is_orthogonal
-    solvers = _class_solvers(basis)
+    solvers = basis._class_solvers
     assert [len(pos) for pos, _ in solvers] == list(basis.per_class_counts)
     v = random_vector(n, seed=n)
     coeff = to_coefficients(v, basis)
