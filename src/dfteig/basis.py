@@ -174,7 +174,7 @@ class EigenBasis:
     a*eta2 + b = positions[i], with raw norm scale[i] and support[i]
     nonzeros; `rows` holds the unit rows and is the dense_matrix().  The
     records, the class Gram blocks, their inverses and the flat labels are
-    cached properties.
+    cached properties, so the arrays of an assembled basis are read-only.
     """
 
     n: int
@@ -613,9 +613,14 @@ def _assemble(
     """The basis of the given per-vector arrays and unit rows, all in vector order.
 
     The one assembly shared by build_basis and import: supports are counted
-    at zero_tol in one pass, and `rows` is the basis's dense_matrix().
+    at zero_tol in one pass, and `rows` is the basis's dense_matrix().  The
+    arrays are made read-only, since the caches derived from them (records,
+    flat labels, Gram blocks and their inverses, reports) would not see a
+    later write: an edited basis is a new one, assembled from edited copies.
     """
     support = np.count_nonzero(np.abs(rows) > tol.zero_tol, axis=1)
+    for array in (classes, positions, scales, support, rows):
+        array.flags.writeable = False
     return EigenBasis(
         n=eta.n, eta=eta, classes=classes, positions=positions, scale=scales,
         support=support, rows=rows, zero_candidates=zero_candidates,

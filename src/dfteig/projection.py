@@ -9,9 +9,9 @@ projectors onto the eigenspaces:
 Each power of D applied to a delta train is again a train in label form,
 so the projection of a train is a four-term symbolic sum.  `project` and
 `densify_sum` apply that law one candidate at a time; the projection recipe
-runs it in closed form on whole label arrays, for the fast change of basis
-and for the basis builder, which either densifies each class as one array
-or writes every candidate in the coordinates of the stride-eta1 trains.
+runs it in closed form on whole label arrays for the basis builder, which
+either densifies each class as one array or writes every candidate in the
+coordinates of the stride-eta1 trains.
 """
 
 from __future__ import annotations
@@ -118,23 +118,20 @@ def _projection_recipe(n: int):
     s = eta1 for even j and s = eta2 for odd j, stored as its position
     index[j, a, b] = x * (n/s) + y in the flattened (s, n/s) correlation
     grid.  One step of `dft_train` sends a reduced label (s, x, y) to
-    (n/s, y, -x mod s) and, once the reduction of -x is folded in,
-    multiplies the phase by w**((-x mod s)*y).  Each step runs on whole
-    label arrays; the phase exponent is accumulated as an integer mod n and
-    exponentiated once.
+    (n/s, y, -x mod s) and multiplies the phase by w**((-x mod s)*y).  So
+    with a_ = -a mod eta1 and b_ = -b mod eta2, the four powers land at
+    (x, y) = (a, b), (b, a_), (a_, b_) and (b_, a), with phase exponents 0,
+    a_*b, a_*(b + b_) and a_*(b + b_) + a*b_, reduced mod n and
+    exponentiated once over whole label arrays.
     """
     eta = eta_pair(n)
-    shape = (4, eta.eta1, eta.eta2)
-    index = np.empty(shape, dtype=np.intp)
-    exponents = np.empty(shape, dtype=np.intp)
-    x, y = np.meshgrid(np.arange(eta.eta1), np.arange(eta.eta2), indexing="ij")
-    exponent = np.zeros(shape[1:], dtype=np.intp)
-    stride = eta.eta1
-    for j in range(4):
-        index[j], exponents[j] = x * (n // stride) + y, exponent
-        x_neg = -x % stride
-        exponent = (exponent + x_neg * y) % n
-        x, y, stride = y, x_neg, n // stride
+    a, b = np.meshgrid(np.arange(eta.eta1), np.arange(eta.eta2), indexing="ij")
+    a_, b_ = -a % eta.eta1, -b % eta.eta2
+    index = np.stack([
+        a * eta.eta2 + b, b * eta.eta1 + a_, a_ * eta.eta2 + b_, b_ * eta.eta1 + a,
+    ])
+    half_turn = a_ * (b + b_)
+    exponents = np.stack([np.zeros_like(a), a_ * b, half_turn, half_turn + a * b_]) % n
     phases = omega_power(n, exponents)
     index.setflags(write=False)
     phases.setflags(write=False)

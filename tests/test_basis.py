@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -475,9 +476,35 @@ def test_orthogonality_survey_rejects_small_max():
 
 
 def test_sparsity_audit_failure_reports_label():
-    basis = build_basis(6)
-    basis.support[1] = 10 ** 6  # corrupt one vector
+    built = build_basis(6)
+    support = built.support.copy()
+    support[1] = 10 ** 6  # corrupt one vector
+    basis = dataclasses.replace(built, support=support)
     with pytest.raises(VerificationError) as err:
         audit_sparsity(basis)
     k, a, b = basis.labels()[1]
     assert f"vector (k={k}, a={a}, b={b}) has support 1000000" in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["rows", "scale", "support", "classes", "positions"])
+def test_basis_arrays_are_read_only(name, tmp_path):
+    # the cached records, flat labels, Gram blocks and reports are derived
+    # from these arrays and would not see a write
+    built = build_basis(12)
+    path = tmp_path / "basis.json"
+    export_basis(built, path)
+    for basis in (built, import_basis(path)):
+        array = getattr(basis, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+
+def test_edited_copy_is_a_new_basis_with_fresh_caches():
+    basis = build_basis(12)
+    before = gram_report(basis)
+    assert before.max_offdiag < 0.8
+    rows = basis.dense_matrix().copy()
+    rows[0] = rows[1]  # vectors 0 and 1 share a class
+    edited = dataclasses.replace(basis, rows=rows)
+    assert gram_report(edited).max_offdiag == pytest.approx(1.0, abs=1e-12)
+    assert gram_report(basis) is before

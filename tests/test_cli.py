@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import time
@@ -402,11 +403,12 @@ def test_certify_and_solve_make_no_records(tmp_path, monkeypatch, capsys, n):
 
 
 def test_perturbed_row_fails_cross_class_bound():
-    basis = build_basis(12)
-    rows = basis.dense_matrix()
+    built = build_basis(12)
+    rows = built.dense_matrix().copy()  # the basis's own arrays are read-only
     rng = np.random.default_rng(12)
     rows[0] += 1e-6 * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
     rows[0] /= np.linalg.norm(rows[0])
+    basis = dataclasses.replace(built, rows=rows)
     residuals, _ = _oracle_pass(basis, DEFAULT_TOL)
     ks = np.array([rec.k for rec in basis.vectors])
     eps = [residuals[ks == k].max() for k in range(4)]

@@ -5,6 +5,7 @@ import pytest
 
 from dfteig import (
     DEFAULT_TOL,
+    EigenBasis,
     ModulatedDeltaTrain,
     analyze,
     build_basis,
@@ -22,7 +23,9 @@ from dfteig import (
     to_coefficients,
     train_correlations,
 )
-from dfteig.fast import _projection_recipe, _solve
+import dfteig.projection
+from dfteig.fast import _selected_correlations, _solve
+from dfteig.projection import _CHARACTERS, _projection_recipe
 
 
 def random_vector(n, seed=0):
@@ -143,6 +146,80 @@ def test_projection_recipe_matches_dft_train_chain(n):
 
 # ---------------------------------------------------------------------------
 # analyze
+
+
+def gather_analyze(v):
+    """analyze as four gathers through the projection recipe and a 4x4 product.
+
+    The recipe's index picks power j of every train out of the stride-eta1
+    or stride-eta2 correlation grid, its phase is divided out, and the class
+    characters combine the four powers.
+    """
+    arr = np.asarray(v, dtype=np.complex128)
+    n = arr.size
+    eta, index, phases = _projection_recipe(n)
+    grids = [train_correlations(arr, s).reshape(n) for s in (eta.eta1, eta.eta2)]
+    picked = np.stack([grids[j % 2][index[j]] for j in range(4)]) * np.conj(phases)
+    return np.tensordot(np.conj(_CHARACTERS), picked, axes=1)
+
+
+@pytest.mark.parametrize("n", list(range(1, 301)) + [4096, 4099, 49152, 65536])
+def test_analyze_matches_gather_reference(n):
+    # squares (one strided pass), primes (eta1 = 1), c = gcd(eta1, eta2) > 1 and c = 1
+    v = random_vector(n, seed=n)
+    expected = gather_analyze(v)
+    values = analyze(v).values
+    assert values.shape == expected.shape
+    assert np.linalg.norm(values - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def random_label_basis(n, seed):
+    """n labels drawn from all 4n, the last a repeat of the first, and random scales.
+
+    The rows are left zero: only the labels and the scales enter the fast
+    maps, and drawing from every label reaches tensor entries that no built
+    basis selects.
+    """
+    rng = np.random.default_rng(seed)
+    classes, positions = rng.integers(4, size=n), rng.integers(n, size=n)
+    classes[-1], positions[-1] = classes[0], positions[0]
+    return EigenBasis(
+        n=n, eta=eta_pair(n), classes=classes, positions=positions,
+        scale=rng.uniform(0.5, 2.0, n), support=np.zeros(n, dtype=np.intp),
+        rows=np.zeros((n, n), dtype=np.complex128),
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 301))
+def test_synthesize_is_adjoint_of_analyze_on_drawn_labels(n):
+    # <analyze(v) | c> = <v | synthesize(c)> over the selected entries, with
+    # a repeated label summing on both sides
+    basis = random_label_basis(n, seed=n)
+    v, c = random_vector(n, seed=2 * n), random_vector(n, seed=2 * n + 1)
+    lhs = inner(_selected_correlations(analyze(v), basis), c)
+    rhs = inner(v, synthesize(c, basis))
+    bound = 1e-13 * np.linalg.norm(v) * np.linalg.norm(c) / basis.scale.min()
+    assert abs(lhs - rhs) <= bound
+
+
+def test_analyze_and_synthesize_read_no_recipe(monkeypatch):
+    # the fast maps are closed-form slices of the two strided grids
+    sizes = (1, 12, 61, 240, 576, 4099)
+    bases = {n: build_basis(n) for n in sizes if n < 1000}
+    expected = {n: gather_analyze(random_vector(n, seed=n)) for n in sizes}
+
+    def refuse(n):
+        raise AssertionError("the projection recipe was read")
+
+    monkeypatch.setattr(dfteig.projection, "_projection_recipe", refuse)
+    for n in sizes:
+        v = random_vector(n, seed=n)
+        values = analyze(v).values
+        assert np.linalg.norm(values - expected[n]) <= 1e-13 * np.linalg.norm(expected[n])
+        if n in bases:
+            coeff = to_coefficients(v, bases[n])
+            back = synthesize(coeff, bases[n])
+            assert np.linalg.norm(back - v) <= DEFAULT_TOL.residual_tol * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("n", [4, 9, 12, 16, 30, 36, 240, 257])
