@@ -9,8 +9,8 @@ extends the rank of its class (first fit) yields a deterministic basis
 whose supports sit between (eta1+eta2)/2 and 2*(eta1+eta2).  First fit is
 exactly independent but can be numerically singular (prime n), so each
 class whose condition number exceeds CONDITION_BOUND is re-selected from
-its pool by max-residual column pivoting with deferred updates; the
-support bounds hold for every candidate, so they are unaffected.
+its pool by max-residual pivoting, run as pivoted Cholesky on the pool's
+Gram; the support bounds hold for every candidate, so they are unaffected.
 
 Selection takes one of two paths, chosen by c = gcd(eta1, eta2).  For
 c = 1 each class's n candidates are densified as one (n, n) array from
@@ -70,10 +70,8 @@ CONDITION_BOUND = 1e6
 # Pivot residuals within this relative margin of the largest count as tied,
 # so rounding in the last bits cannot decide which label is taken.
 _TIE_MARGIN = 1e-9
-# Pool rows per block of first fit, and pivots held back before pivoting
-# projects them out of every row.
+# Pool rows per block of first fit and of the pivoting Gram.
 _BLOCK = 64
-_FLUSH = 32
 
 __all__ = [
     "CONDITION_BOUND",
@@ -316,44 +314,33 @@ def _pivot_rows(units: np.ndarray, count: int, tol: TolerancePolicy) -> list[int
 
     Each step takes the row with the largest residual against the rows
     taken so far, the lowest position among residuals within _TIE_MARGIN of
-    the maximum, and stops early when no residual exceeds residual_tol.
-    The projections are deferred: a step orthogonalizes its pivot against
-    the pivots still pending and downdates the squared residual norms by one
-    product of the rows with the pivot.  Every _FLUSH pivots, the pending
-    ones are projected out of all rows as one product, the rows taken so
-    far are dropped, since their residuals vanish, and the norms are
-    recomputed exactly.  Returned in ascending order.
+    the maximum.  The residuals are those of pivoted Cholesky on the rows'
+    Gram G = U U^H (Higham 1990): a step writes one column of the factor from
+    one column of G and downdates the squared residual norms, the Schur
+    complement's diagonal, by its squared moduli.  Those carry rounding of
+    up to about len(units)*eps times the largest squared norm, so pivoting
+    stops once no residual exceeds residual_tol or the square root of that
+    bound (LAPACK's xPSTRF default): a row already taken, or a copy of one,
+    is never taken again.  Returned in ascending order.
     """
-    alive = np.arange(len(units))  # input positions of the rows still held
-    resid = units  # the caller's copy: overwritten with the residuals
-    pending = np.empty((_FLUSH, resid.shape[1]), dtype=np.complex128)
-    conj = np.empty_like(pending)  # conjugated pending pivots
-    coeffs = np.empty((_FLUSH, len(resid)), dtype=np.complex128)
-    held = 0
-    sq = _squared_norms(resid)
+    gram = np.empty((len(units), len(units)), dtype=np.complex128)  # gram[p]: column p of U U^H
+    for start in range(0, len(units), _BLOCK):  # in blocks: no conjugated copy of all rows
+        np.matmul(units[start:start + _BLOCK].conj(), units.T, out=gram[start:start + _BLOCK])
+    sq = gram.diagonal().real.copy()
+    rounding = len(units) * np.finfo(float).eps * sq.max(initial=0.0)
+    floor = max(tol.residual_tol, math.sqrt(rounding))
+    factor = np.empty((count, len(units)), dtype=np.complex128)
     chosen: list[int] = []
-    for _ in range(count):
+    for step in range(count):
         norms = np.sqrt(np.maximum(sq, 0.0))
         top = float(norms.max())
-        if top <= tol.residual_tol:
+        if top <= floor:
             break
         pos = int(np.argmax(norms >= top * (1.0 - _TIE_MARGIN)))
-        q = pending[:held]
-        r = resid[pos] - coeffs[:held, pos] @ q
-        r -= (conj[:held] @ r) @ q  # orthogonal to the pending pivots
-        np.divide(r, np.linalg.norm(r), out=pending[held])
-        np.conjugate(pending[held], out=conj[held])
-        coeffs[held] = resid @ conj[held]
-        sq -= coeffs[held].real ** 2 + coeffs[held].imag ** 2
-        held += 1
-        chosen.append(int(alive[pos]))
-        if held == _FLUSH:
-            resid -= coeffs.T @ pending
-            keep = ~np.isin(alive, chosen)
-            alive, resid = alive[keep], resid[keep]
-            coeffs = np.empty((_FLUSH, len(resid)), dtype=np.complex128)
-            sq = _squared_norms(resid)
-            held = 0
+        column = factor[step]
+        np.divide(gram[pos] - factor[:step, pos].conj() @ factor[:step], norms[pos], out=column)
+        sq -= column.real ** 2 + column.imag ** 2
+        chosen.append(pos)
     return sorted(chosen)
 
 
@@ -517,7 +504,7 @@ def _dense_pool(n: int, k: int, mirror: np.ndarray, gathers, tol: TolerancePolic
     pool is every nonzero row that comes no later than its mirror.
     """
     units = _class_rows(n, k, gathers=gathers)
-    scale = np.linalg.norm(units, axis=1)
+    scale = np.sqrt(_squared_norms(units))
     nonzero = scale > tol.residual_tol
     units /= np.where(nonzero, scale, 1.0)[:, None]
     pool = np.flatnonzero(nonzero & (mirror >= np.arange(n)))
@@ -549,8 +536,9 @@ def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
     class's known multiplicity.  It guarantees exact independence but no
     margin: at prime n its rows can be numerically singular.  So a class
     whose unit rows have a 2-norm condition number above CONDITION_BOUND is
-    re-selected from its pool by max-residual pivoting with deferred updates
-    (see _pivot_rows), ties going to the earliest candidate.
+    re-selected from its pool by max-residual pivoting, run as pivoted
+    Cholesky on the pool's Gram (see _pivot_rows), ties going to the earliest
+    candidate.
 
     The path follows c = gcd(eta1, eta2).  For c = 1 each class is
     densified as one (n, n) array (the DFT powers' supports and roots are

@@ -157,6 +157,12 @@ def cmd_verify(args) -> int:
     tol = _tolerance(args)
     if args.input:
         basis = import_basis(args.input)
+        if args.n is not None and args.n != basis.n:
+            print(
+                f"verify: --n {args.n} given, but {args.input} holds n={basis.n}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         if args.n is None or args.n < 1:
             print("verify: provide --n N or --input FILE", file=sys.stderr)

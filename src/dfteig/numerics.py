@@ -79,7 +79,9 @@ def omega_power(n: int, exponent):
     return np.exp((-2j * np.pi / n) * np.mod(exponent, n))
 
 
-@functools.lru_cache(maxsize=64)
+# One matrix is 16*n**2 bytes (256 MiB at n = 4096), and every caller works at
+# one n at a time, so only the last one is kept.
+@functools.lru_cache(maxsize=1)
 def dft_matrix(n: int) -> np.ndarray:
     """The n-by-n unitary DFT matrix, entry (j, k) = w**(j*k) / sqrt(n)."""
     if n < 1:

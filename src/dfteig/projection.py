@@ -215,7 +215,8 @@ def _class_rows(n: int, k, select=None, *, gathers=None) -> np.ndarray:
     for j, (t, root, phase, d) in enumerate(gathers):
         weight = (characters[:, j, None] / math.sqrt(d)) * phase
         if d == n:  # stride 1, as at prime n: every row's support is 0..n-1
-            rows += weight * root
+            for start in range(0, size, 64):  # in row blocks: no (n, n) temporary
+                rows[start:start + 64] += weight[start:start + 64] * root[start:start + 64]
         else:  # positions within one row are distinct, so buffered += is exact
             rows[labels, t] += weight * root
     return rows

@@ -26,12 +26,16 @@ import dfteig.basis
 from dfteig.basis import (
     _TIE_MARGIN,
     CONDITION_BOUND,
+    _dense_pool,
     _divisors,
+    _first_fit,
+    _ill_conditioned,
     _orbit_blocks,
+    _pivot_rows,
     _uncertainty_ok,
 )
 from dfteig.numerics import TolerancePolicy
-from dfteig.projection import _class_rows, _power_coordinates
+from dfteig.projection import _class_rows, _power_coordinates, _power_gathers
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +216,62 @@ def _reference_pivot_rows(units, count, tol):
     return sorted(chosen)
 
 
+def _normalized(array):
+    return array / np.linalg.norm(array, axis=1)[:, None]
+
+
+def test_pivot_rows_breaks_exact_ties_by_scan_order():
+    # orthonormal rows: every residual stays tied with every other, so each
+    # step takes the lowest position left
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+    tol = TolerancePolicy()
+    for units in (np.eye(12, dtype=complex), q):
+        assert _pivot_rows(units, 5, tol) == _reference_pivot_rows(units, 5, tol) == list(range(5))
+
+
+def test_pivot_rows_stops_at_the_rank_of_a_deficient_pool():
+    # three distinct unit rows, each twice: a twin pair's residuals tie, so
+    # the earlier is taken, and then the later one's residual vanishes (in
+    # Gram space it reads about 1e-8, below the rounding floor); the stop
+    # rule returns 3 rows, not the 5 asked for
+    rng = np.random.default_rng(1)
+    distinct = _normalized(rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)))
+    units = distinct[[0, 1, 0, 2, 1, 2]]
+    tol = TolerancePolicy()
+    assert _pivot_rows(units, 5, tol) == _reference_pivot_rows(units, 5, tol) == [0, 1, 3]
+
+
+def test_pivot_rows_matches_the_reference_on_an_ill_conditioned_pool():
+    # 30 unit rows in 20 dimensions with singular values from 1 down to 1e-8;
+    # pivoting 10 of them keeps residuals far above the Gram's rounding
+    rng = np.random.default_rng(2)
+    left, _ = np.linalg.qr(rng.standard_normal((30, 20)) + 1j * rng.standard_normal((30, 20)))
+    right, _ = np.linalg.qr(rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20)))
+    units = _normalized((left * np.logspace(0, -8, 20)) @ right)
+    sv = np.linalg.svd(units, compute_uv=False)
+    assert 1e7 < sv[0] / sv[-1] < 1e9
+    tol = TolerancePolicy()
+    assert _pivot_rows(units, 10, tol) == _reference_pivot_rows(units, 10, tol)
+
+
+def test_pivot_rows_matches_the_reference_on_a_gated_class():
+    # class 2 at the prime 1009: first fit fails the gate, and one pivot
+    # step's runner-up sits 1.2e-9 relative below the tie band
+    n, k, tol = 1009, 2, TolerancePolicy()
+    eta = eta_pair(n)
+    a, b = np.divmod(np.arange(n), eta.eta2)
+    mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)
+    units, pool, _ = _dense_pool(n, k, mirror, _power_gathers(n), tol)
+    count = multiplicities(n).dims[k]
+    assert _ill_conditioned(units[pool[_first_fit(units, pool, count, tol)]])
+    chosen = _pivot_rows(units[pool], count, tol)
+    assert len(chosen) == count
+    assert chosen == _reference_pivot_rows(units[pool], count, tol)
+    basis = build_basis(n, tol)
+    assert np.array_equal(pool[chosen], basis.positions[basis.classes == k])
+
+
 def _reference_labels(n, tol):
     """The selection over every nonzero candidate, mirrors included, under the current gate."""
     dims = multiplicities(n).dims
@@ -242,7 +302,7 @@ def _expected_labels(n, tol):
 # past 128, 144, 224 (c = 2), 225, 256 and 576 take the orbit-block path (c > 1)
 @pytest.mark.parametrize("n", list(range(1, 129)) + [144, 224, 225, 256, 257, 509, 576, 601])
 def test_build_basis_keeps_the_reference_rows(n):
-    # mirror pruning, block first fit, orbit blocks and deferred pivoting change no label
+    # mirror pruning, block first fit, orbit blocks and Gram-space pivoting change no label
     for value in PARITY_TOLS:
         tol = TolerancePolicy(zero_tol=value, residual_tol=value)
         assert build_basis(n, tol).labels() == _expected_labels(n, tol), value

@@ -78,6 +78,18 @@ def test_verify_imported_file(tmp_path, capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def test_verify_refuses_n_that_mismatches_the_file(tmp_path, capsys):
+    path = tmp_path / "b12.json"
+    assert main(["build", "--n", "12", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--n", "16", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "--n 16" in captured.err and "n=12" in captured.err
+    assert "verifying" not in captured.out
+    assert main(["verify", "--n", "12", "--input", str(path)]) == 0  # a matching --n is accepted
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_verify_corrupted_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ this is not json\n")

@@ -6,6 +6,7 @@ from dfteig import (
     EliminationState,
     TolerancePolicy,
     as_vector,
+    dft_matrix,
     dft_pow,
     inner,
     naive_dft,
@@ -48,6 +49,14 @@ def test_naive_dft_comb_fixed_point():
     v = np.array([1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0], dtype=complex)
     assert np.allclose(naive_dft(v), v, atol=1e-12)
     assert np.allclose(scalar_dft(v), v, atol=1e-12)
+
+
+def test_dft_matrix_cache_holds_one_matrix():
+    # a dense matrix is 16*n**2 bytes, so the cache keeps only the last size asked for
+    naive_dft(np.ones(5))
+    naive_dft(np.ones(7))
+    assert dft_matrix.cache_info().currsize == 1
+    assert dft_matrix(7) is dft_matrix(7)
 
 
 @pytest.mark.parametrize("n", range(1, 129))
