@@ -18,8 +18,6 @@ from .numerics import (
     VerificationError,
     as_vector,
     dft_matrix,
-    dft_pow,
-    inner,
     naive_dft,
     omega_power,
     try_extend_rank,
@@ -30,7 +28,6 @@ from .trains import (
     densify,
     dft_train,
     eta_pair,
-    train_inner,
 )
 from .projection import (
     EIGENVALUES,
@@ -38,14 +35,12 @@ from .projection import (
     densify_sum,
     eigenvalue_of,
     project,
-    support_bound,
     verify_eigenvector,
 )
 from .basis import (
     BasisVectorRecord,
     EigenBasis,
     GramReport,
-    MultiplicityTable,
     SparsityAudit,
     audit_sparsity,
     build_basis,
@@ -78,8 +73,6 @@ __all__ = [
     "VerificationError",
     "as_vector",
     "dft_matrix",
-    "dft_pow",
-    "inner",
     "naive_dft",
     "omega_power",
     "try_extend_rank",
@@ -88,18 +81,15 @@ __all__ = [
     "densify",
     "dft_train",
     "eta_pair",
-    "train_inner",
     "EIGENVALUES",
     "TrainSum",
     "densify_sum",
     "eigenvalue_of",
     "project",
-    "support_bound",
     "verify_eigenvector",
     "BasisVectorRecord",
     "EigenBasis",
     "GramReport",
-    "MultiplicityTable",
     "SparsityAudit",
     "audit_sparsity",
     "build_basis",

@@ -75,7 +75,6 @@ _BLOCK = 64
 
 __all__ = [
     "CONDITION_BOUND",
-    "MultiplicityTable",
     "multiplicities",
     "enumerate_candidates",
     "BasisVectorRecord",
@@ -90,36 +89,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
-    """Eigenvalue multiplicities of the n-dimensional DFT, indexed by class k.
+def multiplicities(n: int) -> tuple[int, int, int, int]:
+    """Eigenspace dimensions of the n-dimensional DFT, indexed by class k.
 
-    dims[k] is the dimension of the eigenspace with eigenvalue i**(-k);
-    the four entries always sum to n and depend only on n mod 4.
+    Entry k is the dimension of the eigenspace with eigenvalue i**(-k); the
+    four entries sum to n and depend only on n mod 4, in closed form.
     """
-
-    n: int
-    dims: tuple[int, int, int, int]
-
-    def by_eigenvalue(self, lam: complex) -> int:
-        mapping = {(1 + 0j): 0, (-1j): 1, (-1 + 0j): 2, (1j): 3}
-        if lam not in mapping:
-            raise ValueError(f"{lam!r} is not a fourth root of unity")
-        return self.dims[mapping[lam]]
-
-
-def multiplicities(n: int) -> MultiplicityTable:
-    """Closed-form eigenspace dimensions as a function of n mod 4."""
     if n < 1:
         raise ValueError("n must be positive")
     m, r = divmod(n, 4)
-    dims = {
+    return {
         0: (m + 1, m, m, m - 1),
         1: (m + 1, m, m, m),
         2: (m + 1, m, m + 1, m),
         3: (m + 1, m + 1, m + 1, m),
     }[r]
-    return MultiplicityTable(n=n, dims=dims)
 
 
 def enumerate_candidates(
@@ -142,8 +126,7 @@ class BasisVectorRecord:
     built on request from its basis's arrays (EigenBasis.vectors): `dense`
     is a read-only view of its row of dense_matrix(), so editing a record
     cannot change the basis.  `scale` is the norm of the raw projected train,
-    so scale * dense reproduces densify_sum(sum).  `sum`, the train's
-    four-term symbolic projection, is derived from the label on first read.
+    so scale * dense reproduces densify_sum(project(k, g_{eta1}(a, b))).
     """
 
     k: int
@@ -156,12 +139,6 @@ class BasisVectorRecord:
     @property
     def label(self) -> tuple[int, int, int]:
         return (self.k, self.a, self.b)
-
-    @functools.cached_property
-    def sum(self) -> TrainSum:
-        n = self.dense.size
-        g = ModulatedDeltaTrain(n=n, d1=eta_pair(n).eta1, a=self.a, b=self.b)
-        return project(self.k, g)
 
 
 @dataclass(eq=False)
@@ -203,9 +180,6 @@ class EigenBasis:
     def labels(self) -> list[tuple[int, int, int]]:
         a, b = np.divmod(self.positions, self.eta.eta2)
         return list(zip(self.classes.tolist(), a.tolist(), b.tolist()))
-
-    def scales(self) -> np.ndarray:
-        return self.scale.copy()
 
     def dense_matrix(self) -> np.ndarray:
         """The unit rows in vector order: record i's `dense` is row i."""
@@ -558,7 +532,7 @@ def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
     than bad input.
     """
     eta = eta_pair(n)
-    dims = multiplicities(n).dims
+    dims = multiplicities(n)
     position = np.arange(n)  # position a*eta2 + b holds label (k, a, b)
     a, b = np.divmod(position, eta.eta2)
     mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)

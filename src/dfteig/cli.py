@@ -89,7 +89,7 @@ def _verify_checks(basis, tol):
     the smallest singular value, the check's margin.
     """
     n = basis.n
-    dims = multiplicities(n).dims
+    dims = multiplicities(n)
     yield (
         "multiplicity-counts",
         basis.per_class_counts == dims,

@@ -255,19 +255,20 @@ def _import_basis_csv(path) -> EigenBasis:
 
 
 def import_basis(path) -> EigenBasis:
-    """Read a basis export back; the format is sniffed from the content."""
+    """Read a basis export back; the format is sniffed from the content.
+
+    JSON is a file whose first character after JSON's own leading
+    whitespace is `{`; anything else is read as CSV.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(1)
-    if head == "{":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{exc.lineno}: invalid JSON: {exc.msg}"
-                ) from None
-        return _records_from_payload(payload, path)
-    return _import_basis_csv(path)
+        text = fh.read()
+    if not text.lstrip(" \t\n\r").startswith("{"):
+        return _import_basis_csv(path)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    return _records_from_payload(payload, path)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ __all__ = [
     "omega_power",
     "dft_matrix",
     "naive_dft",
-    "dft_pow",
-    "inner",
     "EliminationState",
     "try_extend_rank",
 ]
@@ -100,25 +98,6 @@ def naive_dft(v) -> np.ndarray:
     """
     arr = as_vector(v)
     return dft_matrix(arr.size) @ arr
-
-
-def dft_pow(v, j: int) -> np.ndarray:
-    """Apply the reference transform j times, j in 0..3 (the matrix has order 4)."""
-    if j not in (0, 1, 2, 3):
-        raise ValueError(f"power must be in 0..3, got {j!r}")
-    arr = as_vector(v)
-    for _ in range(j):
-        arr = naive_dft(arr)
-    return arr
-
-
-def inner(x, y) -> complex:
-    """<x, y> = sum_j x_j * conj(y_j)."""
-    xv = as_vector(x)
-    yv = as_vector(y)
-    if xv.size != yv.size:
-        raise ValueError(f"dimension mismatch: {xv.size} vs {yv.size}")
-    return complex(np.vdot(yv, xv))
 
 
 class EliminationState:

@@ -31,7 +31,6 @@ __all__ = [
     "TrainSum",
     "project",
     "densify_sum",
-    "support_bound",
     "verify_eigenvector",
 ]
 
@@ -87,14 +86,6 @@ def densify_sum(s: TrainSum) -> np.ndarray:
     return out
 
 
-def support_bound(s: TrainSum) -> int:
-    """Sum of the term supports: an upper bound on the dense support size.
-
-    For a projected stride-eta1 train this equals 2*(eta1 + eta2).
-    """
-    return sum(train.d2 for _, train in s.terms)
-
-
 def verify_eigenvector(v, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Relative residual ||D v - i**(-k) v|| / ||v|| under the reference DFT."""
     arr = as_vector(v)
@@ -148,9 +139,10 @@ def _power_coordinates(n: int) -> list:
     is a stride-eta2 train g_{eta2}(x, y), which meets g(x', y') only when
     x' = x and y' = y (mod c), c = gcd(eta1, eta2): n/c**2 coordinates, each
     (c/sqrt(n)) * w**((y' - y)*t), where t < n/c solves t = x (mod eta2) and
-    t = x' (mod eta1) (trains.train_inner in closed form).  For each j this
-    returns the coordinate positions and values of all n trains, one row
-    per train in scan order, phases included; the four classes share them.
+    t = x' (mod eta1), so that the two supports meet on t + (n/c)*Z.  For
+    each j this returns the coordinate positions and values of all n
+    trains, one row per train in scan order, phases included; the four
+    classes share them.
     """
     eta, index, phases = _projection_recipe(n)
     c = math.gcd(eta.eta1, eta.eta2)
@@ -179,8 +171,10 @@ def _power_gathers(n: int, select=None) -> list:
     Power j of every train is the unit train of stride s at its recipe
     position x*(n/s) + y, with entries w**(-y*t)/sqrt(n/s) on t = x (mod s).
     For each j this returns the d = n/s support positions t of each selected
-    row, their roots w**(-y*t), the row's recipe phase and d.  `select`
-    lists rows a*eta2 + b; None selects all n, in scan order.
+    row, their roots w**(-y*t), the row's recipe phase and d.  At stride 1
+    every row's support is 0..n-1, so t is one read-only range broadcast
+    over the rows.  `select` lists rows a*eta2 + b; None selects all n, in
+    scan order.
     """
     eta, index, phases = _projection_recipe(n)
     roots = omega_power(n, -np.arange(n))  # roots[e] = w**(-e)
@@ -190,7 +184,10 @@ def _power_gathers(n: int, select=None) -> list:
         s = _stride(eta, j)
         d = n // s
         x, y = np.divmod(index[j].reshape(n, 1)[rows], d)
-        t = x + s * np.arange(d)  # the d support positions of each row
+        if s == 1:  # x is 0, so no (rows, n) copy of the one range is needed
+            t = np.broadcast_to(np.arange(n), (len(x), n))
+        else:
+            t = x + s * np.arange(d)  # the d support positions of each row
         gathers.append((t, roots[y * t % n], phases[j].reshape(n, 1)[rows], d))
     return gathers
 

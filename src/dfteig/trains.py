@@ -25,7 +25,6 @@ __all__ = [
     "ModulatedDeltaTrain",
     "densify",
     "dft_train",
-    "train_inner",
 ]
 
 
@@ -89,14 +88,11 @@ class ModulatedDeltaTrain:
         """Co-stride: support size of the dense vector."""
         return self.n // self.d1
 
-    def support_indices(self) -> np.ndarray:
-        return self.a + self.d1 * np.arange(self.d2)
-
 
 def densify(g: ModulatedDeltaTrain) -> np.ndarray:
     """Expand the label form to its dense length-n vector (exactly d2 nonzeros)."""
     out = np.zeros(g.n, dtype=np.complex128)
-    idx = g.support_indices()
+    idx = g.a + g.d1 * np.arange(g.d2)
     out[idx] = (g.phase / math.sqrt(g.d2)) * omega_power(g.n, -g.b * idx)
     return out
 
@@ -111,33 +107,3 @@ def dft_train(g: ModulatedDeltaTrain) -> ModulatedDeltaTrain:
     """
     phase = g.phase * complex(omega_power(g.n, -g.a * g.b))
     return ModulatedDeltaTrain(n=g.n, d1=g.d2, a=g.b, b=-g.a, phase=phase)
-
-
-def train_inner(g: ModulatedDeltaTrain, h: ModulatedDeltaTrain) -> complex:
-    """<densify(g), densify(h)> in closed form, without densifying.
-
-    The two supports are arithmetic progressions; their intersection is
-    empty or another progression with stride lcm(g.d1, h.d1) found by CRT.
-    On the intersection, the entrywise products trace a full cycle of a
-    root of unity, so the sum vanishes unless the modulation mismatch times
-    the intersection stride is divisible by n.
-    """
-    if g.n != h.n:
-        raise ValueError(f"dimension mismatch: {g.n} vs {h.n}")
-    n = g.n
-    common = math.gcd(g.d1, h.d1)
-    if (h.a - g.a) % common != 0:
-        return 0j  # disjoint supports
-    lcm = g.d1 // common * h.d1
-    mod = h.d1 // common
-    if mod == 1:
-        j0 = g.a
-    else:
-        step = (h.a - g.a) // common * pow(g.d1 // common, -1, mod) % mod
-        j0 = g.a + g.d1 * step
-    diff = h.b - g.b
-    if diff * lcm % n != 0:
-        return 0j  # geometric sum over a full root-of-unity cycle
-    count = n // lcm
-    value = g.phase * np.conj(h.phase) * count / math.sqrt(g.d2 * h.d2)
-    return complex(value * omega_power(n, diff * j0))

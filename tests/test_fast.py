@@ -17,7 +17,6 @@ from dfteig import (
     export_basis,
     gram_report,
     import_basis,
-    inner,
     naive_dft,
     synthesize,
     to_coefficients,
@@ -84,7 +83,7 @@ def test_train_correlations_matches_inner_products(n, d1):
     for a in range(d1):
         for b in range(n // d1):
             g = ModulatedDeltaTrain(n=n, d1=d1, a=a, b=b)
-            assert abs(corr[a, b] - inner(v, densify(g))) <= 1e-9
+            assert abs(corr[a, b] - np.vdot(densify(g), v)) <= 1e-9
 
 
 @pytest.mark.parametrize("d1", [1, 1009])
@@ -96,7 +95,7 @@ def test_train_correlations_prime_length(d1):
     expected = np.array(
         [
             [
-                inner(v, densify(ModulatedDeltaTrain(n=n, d1=d1, a=a, b=b)))
+                np.vdot(densify(ModulatedDeltaTrain(n=n, d1=d1, a=a, b=b)), v)
                 for b in range(n // d1)
             ]
             for a in range(d1)
@@ -196,8 +195,8 @@ def test_synthesize_is_adjoint_of_analyze_on_drawn_labels(n):
     # a repeated label summing on both sides
     basis = random_label_basis(n, seed=n)
     v, c = random_vector(n, seed=2 * n), random_vector(n, seed=2 * n + 1)
-    lhs = inner(_selected_correlations(analyze(v), basis), c)
-    rhs = inner(v, synthesize(c, basis))
+    lhs = np.vdot(c, _selected_correlations(analyze(v), basis))
+    rhs = np.vdot(synthesize(c, basis), v)
     bound = 1e-13 * np.linalg.norm(v) * np.linalg.norm(c) / basis.scale.min()
     assert abs(lhs - rhs) <= bound
 
@@ -227,7 +226,7 @@ def test_analyze_matches_candidate_inner_products(n):
     v = random_vector(n, seed=n)
     tensor = analyze(v)
     for k, a, b, cand in enumerate_candidates(n):
-        expected = inner(v, densify_sum(cand))
+        expected = np.vdot(densify_sum(cand), v)
         assert abs(tensor.values[k, a, b] - expected) <= 1e-9, (n, k, a, b)
 
 
@@ -435,8 +434,8 @@ def test_synthesize_is_adjoint_of_analyze(n):
     rng = np.random.default_rng(n)
     c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    lhs = inner(synthesize(c, basis), v)
-    rhs = sum(cm * np.conj(inner(v, rec.dense)) for cm, rec in zip(c, basis.vectors))
+    lhs = np.vdot(v, synthesize(c, basis))
+    rhs = sum(cm * np.vdot(v, rec.dense) for cm, rec in zip(c, basis.vectors))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(v)
 
 

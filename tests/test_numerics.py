@@ -7,8 +7,6 @@ from dfteig import (
     TolerancePolicy,
     as_vector,
     dft_matrix,
-    dft_pow,
-    inner,
     naive_dft,
     try_extend_rank,
 )
@@ -76,38 +74,7 @@ def test_parseval():
     for n in [2, 3, 7, 16, 24]:
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert abs(inner(naive_dft(x), naive_dft(y)) - inner(x, y)) <= 1e-9
-
-
-def test_dft_pow_identity_and_reversal():
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    assert np.array_equal(dft_pow(v, 0), v)
-    # D^2 is the index-reversal map: e_1 -> e_3 in dimension 4
-    e1 = np.zeros(4, dtype=complex)
-    e1[1] = 1
-    e3 = np.zeros(4, dtype=complex)
-    e3[3] = 1
-    assert np.allclose(dft_pow(e1, 2), e3, atol=1e-12)
-    # and two reversals give the identity (D^4 = I)
-    assert np.allclose(dft_pow(dft_pow(v, 2), 2), v, atol=1e-9)
-
-
-def test_dft_pow_rejects_bad_power():
-    with pytest.raises(ValueError):
-        dft_pow([1.0, 0.0], 4)
-    with pytest.raises(ValueError):
-        dft_pow([1.0, 0.0], -1)
-
-
-def test_inner_convention():
-    assert inner([1, 0], [0, 1]) == 0
-    v = [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0]
-    assert abs(inner(v, v) - 1) <= 1e-12
-    # conjugation acts on the second argument
-    assert abs(inner([1j, 0], [1, 0]) - 1j) <= 1e-12
-    with pytest.raises(ValueError):
-        inner([1, 0], [1, 0, 0])
+        assert abs(np.vdot(naive_dft(y), naive_dft(x)) - np.vdot(y, x)) <= 1e-9
 
 
 def test_as_vector_rejections():

@@ -8,23 +8,24 @@ from dfteig import (
     TrainSum,
     densify,
     densify_sum,
-    dft_pow,
+    dft_matrix,
     dft_train,
     eigenvalue_of,
     eta_pair,
     naive_dft,
     project,
-    support_bound,
-    train_inner,
     verify_eigenvector,
 )
 from dfteig.numerics import omega_power
-from dfteig.projection import _class_rows, _power_coordinates
+from dfteig.projection import _class_rows, _power_coordinates, _power_gathers
 
 
 def oracle_projection(k, dense):
     """Independent projector: average reference-transform powers directly."""
-    return sum(0.25 * 1j ** (j * k) * dft_pow(dense, j) for j in range(4))
+    d = dft_matrix(dense.size)
+    return sum(
+        0.25 * 1j ** (j * k) * (np.linalg.matrix_power(d, j) @ dense) for j in range(4)
+    )
 
 
 def test_eigenvalues():
@@ -117,16 +118,6 @@ def test_train_sum_validation():
         TrainSum(n=6, terms=((1 + 0j, g),))
 
 
-def test_support_bound_values():
-    # projected stride-eta1 trains: bound is exactly 2*(eta1+eta2)
-    s16 = project(1, ModulatedDeltaTrain(n=16, d1=4, a=1, b=2))
-    assert support_bound(s16) == 16
-    s12 = project(0, ModulatedDeltaTrain(n=12, d1=3, a=0, b=0))
-    assert support_bound(s12) == 14
-    spike = TrainSum(n=5, terms=((1 + 0j, ModulatedDeltaTrain(n=5, d1=5, a=2)),))
-    assert support_bound(spike) == 1
-
-
 @pytest.mark.parametrize("n", range(2, 25))
 def test_support_bound_dominates_true_support(n):
     eta = eta_pair(n)
@@ -136,7 +127,10 @@ def test_support_bound_dominates_true_support(n):
                 s = project(k, ModulatedDeltaTrain(n=n, d1=eta.eta1, a=a, b=b))
                 dense = densify_sum(s)
                 true_support = int(np.count_nonzero(np.abs(dense) > 1e-9))
-                assert true_support <= support_bound(s)
+                # the sum of the term supports, 2*(eta1 + eta2)
+                bound = sum(train.d2 for _, train in s.terms)
+                assert bound == 2 * (eta.eta1 + eta.eta2)
+                assert true_support <= bound
 
 
 def test_symbolic_zero_precheck():
@@ -159,6 +153,19 @@ def test_class_rows_match_per_label_chain(n):
                 assert np.abs(rows[a * eta.eta2 + b] - expected).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 7, 61, 103])
+@pytest.mark.parametrize("select", [None, [1, 0, 1]])
+def test_stride_one_supports_hold_no_square_buffer(n, select):
+    # at prime n the even powers have stride 1: every row's support is 0..n-1,
+    # so the positions are one range broadcast over the rows
+    rows = n if select is None else len(select)
+    for j in (0, 2):
+        t, root, _, d = _power_gathers(n, select)[j]
+        assert d == n and t.shape == (rows, n) and t.strides[0] == 0
+        assert np.array_equal(t, np.broadcast_to(np.arange(n), (rows, n)))
+        assert root.shape == (rows, n)
+
+
 @pytest.mark.parametrize("n", [9, 16, 27, 54, 96, 108, 128, 225])
 def test_power_coordinates_match_train_inner(n):
     # every label and DFT power, against the oracle in every coordinate
@@ -168,6 +175,7 @@ def test_power_coordinates_match_train_inner(n):
         ModulatedDeltaTrain(n=n, d1=eta.eta1, a=x, b=y)
         for x in range(eta.eta1) for y in range(eta.eta2)
     ]
+    dense = np.array([densify(e) for e in trains])
     coordinates = _power_coordinates(n)
     assert [position.shape[1] for position, _ in coordinates] == [1, n // c**2] * 2
     for i, g in enumerate(trains):
@@ -175,7 +183,7 @@ def test_power_coordinates_match_train_inner(n):
         for j, (position, value) in enumerate(coordinates):
             row = np.zeros(n, dtype=np.complex128)
             row[position[i]] = value[i]
-            oracle = np.array([train_inner(power, e) for e in trains])
+            oracle = dense.conj() @ densify(power)  # np.vdot(densify(e), densify(power)) per e
             assert np.abs(row - oracle).max() <= 1e-13, (i, j)
             power = dft_train(power)
 

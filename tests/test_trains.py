@@ -8,9 +8,7 @@ from dfteig import (
     densify,
     dft_train,
     eta_pair,
-    inner,
     naive_dft,
-    train_inner,
 )
 
 
@@ -174,55 +172,6 @@ def test_two_step_negates_labels(n):
         assert abs(t.phase - ref.phase) <= 1e-9
 
 
-# ---------------------------------------------------------------------------
-# closed-form inner products
-
-
-def test_train_inner_disjoint_support():
-    g = ModulatedDeltaTrain(n=4, d1=2, a=0, b=0)
-    h = ModulatedDeltaTrain(n=4, d1=2, a=1, b=0)
-    assert train_inner(g, h) == 0
-
-
-def test_train_inner_same_offset_different_modulation():
-    g = ModulatedDeltaTrain(n=4, d1=2, a=0, b=0)
-    h = ModulatedDeltaTrain(n=4, d1=2, a=0, b=1)
-    assert abs(train_inner(g, h)) <= 1e-12
-
-
-def test_train_inner_self_is_one():
-    for n, d1, a, b in [(4, 2, 0, 0), (12, 3, 2, 1), (9, 1, 0, 5), (7, 7, 3, 0)]:
-        g = ModulatedDeltaTrain(n=n, d1=d1, a=a, b=b)
-        assert abs(train_inner(g, g) - 1) <= 1e-12
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 20, 30])
-def test_train_inner_matches_dense_oracle(n):
-    trains = list(all_trains(n))
-    for g in trains:
-        for h in trains:
-            expected = inner(densify(g), densify(h))
-            assert abs(train_inner(g, h) - expected) <= 1e-9, (
-                n,
-                (g.d1, g.a, g.b),
-                (h.d1, h.a, h.b),
-            )
-
-
-def test_train_inner_with_phases():
-    g = ModulatedDeltaTrain(n=12, d1=3, a=1, b=2, phase=np.exp(0.3j))
-    h = ModulatedDeltaTrain(n=12, d1=4, a=1, b=1, phase=np.exp(-1.1j))
-    expected = inner(densify(g), densify(h))
-    assert abs(train_inner(g, h) - expected) <= 1e-12
-
-
-def test_train_inner_dimension_mismatch():
-    with pytest.raises(ValueError):
-        train_inner(
-            ModulatedDeltaTrain(n=4, d1=2), ModulatedDeltaTrain(n=6, d1=2)
-        )
-
-
 @pytest.mark.parametrize("n", [4, 6, 9, 12, 16, 20])
 def test_fixed_stride_family_is_orthonormal_basis(n):
     for d1 in all_divisors(n):
@@ -232,7 +181,6 @@ def test_fixed_stride_family_is_orthonormal_basis(n):
             for b in range(n // d1)
         ]
         assert len(family) == n
-        gram = np.array(
-            [[train_inner(g, h) for h in family] for g in family]
-        )
+        dense = np.array([densify(g) for g in family])
+        gram = dense @ dense.conj().T
         assert np.allclose(gram, np.eye(n), atol=1e-12)
