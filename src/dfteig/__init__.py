@@ -14,7 +14,6 @@ an FFT at the strided-subsequence stage.
 from .numerics import (
     DEFAULT_TOL,
     EliminationState,
-    TolerancePolicy,
     VerificationError,
     as_vector,
     dft_matrix,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TOL",
     "EliminationState",
-    "TolerancePolicy",
     "VerificationError",
     "as_vector",
     "dft_matrix",

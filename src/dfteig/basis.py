@@ -48,9 +48,9 @@ import numpy as np
 
 from .numerics import (
     DEFAULT_TOL,
-    TolerancePolicy,
     VerificationError,
     as_vector,
+    check_tol,
     naive_dft,
 )
 from .projection import (
@@ -242,16 +242,14 @@ def _ill_conditioned(units: np.ndarray) -> bool:
     return bool(sv[0] > CONDITION_BOUND * sv[-1])
 
 
-def _first_fit(
-    units: np.ndarray, pool: np.ndarray, count: int, tol: TolerancePolicy
-) -> list[int]:
+def _first_fit(units: np.ndarray, pool: np.ndarray, count: int, tol: float) -> list[int]:
     """Indices into `pool` of its first `count` rows that extend the rank.
 
     Block CGS2: each block of _BLOCK pool rows has the pivots accepted
     before it projected out twice, as two matrix products per pass.  Each
     row of the block is then measured against the pivots accepted inside
     the block, again twice, and is accepted iff its residual norm exceeds
-    residual_tol times its own norm; its normalized residual becomes a pivot.
+    tol times its own norm; its normalized residual becomes a pivot.
     """
     kept: list[int] = []
     if not count:
@@ -260,7 +258,7 @@ def _first_fit(
     conj = np.empty_like(pivots)  # conjugated pivots, so coefficients are plain products
     for start in range(0, pool.size, _BLOCK):
         block = units[pool[start:start + _BLOCK]]  # a copy: the block's residuals
-        limits = tol.residual_tol * np.linalg.norm(block, axis=1)
+        limits = tol * np.linalg.norm(block, axis=1)
         before = len(kept)
         if before:
             q, qc = pivots[:before], conj[:before].T
@@ -283,7 +281,7 @@ def _first_fit(
     return kept
 
 
-def _pivot_rows(units: np.ndarray, count: int, tol: TolerancePolicy) -> list[int]:
+def _pivot_rows(units: np.ndarray, count: int, tol: float) -> list[int]:
     """Businger-Golub max-residual pivoting: positions of up to `count` rows.
 
     Each step takes the row with the largest residual against the rows
@@ -293,7 +291,7 @@ def _pivot_rows(units: np.ndarray, count: int, tol: TolerancePolicy) -> list[int
     one column of G and downdates the squared residual norms, the Schur
     complement's diagonal, by its squared moduli.  Those carry rounding of
     up to about len(units)*eps times the largest squared norm, so pivoting
-    stops once no residual exceeds residual_tol or the square root of that
+    stops once no residual exceeds tol or the square root of that
     bound (LAPACK's xPSTRF default): a row already taken, or a copy of one,
     is never taken again.  Returned in ascending order.
     """
@@ -302,7 +300,7 @@ def _pivot_rows(units: np.ndarray, count: int, tol: TolerancePolicy) -> list[int
         np.matmul(units[start:start + _BLOCK].conj(), units.T, out=gram[start:start + _BLOCK])
     sq = gram.diagonal().real.copy()
     rounding = len(units) * np.finfo(float).eps * sq.max(initial=0.0)
-    floor = max(tol.residual_tol, math.sqrt(rounding))
+    floor = max(tol, math.sqrt(rounding))
     factor = np.empty((count, len(units)), dtype=np.complex128)
     chosen: list[int] = []
     for step in range(count):
@@ -351,7 +349,7 @@ def _orbit_blocks(eta: DivisorPair) -> list[np.ndarray]:
     return groups
 
 
-def _stacked_first_fit(stack: np.ndarray, counts: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+def _stacked_first_fit(stack: np.ndarray, counts: np.ndarray, tol: float) -> np.ndarray:
     """Which rows of each stacked pool extend the rank of their pool: a (pools, slots) mask.
 
     _first_fit's rule for the orbit-block path, where the pools are the
@@ -362,7 +360,7 @@ def _stacked_first_fit(stack: np.ndarray, counts: np.ndarray, tol: TolerancePoli
     twice, as batched matrix products, and then each slot is measured
     against the earlier slots of its block, again twice.  A rejected slot's
     pivot is a zero row, so it projects out nothing.  A row is accepted iff
-    its residual norm exceeds residual_tol times its own norm, and its
+    its residual norm exceeds tol times its own norm, and its
     normalized residual becomes its slot's pivot.  The slots stop once
     every pool is full.  The stack is overwritten with the pivots.
 
@@ -371,7 +369,7 @@ def _stacked_first_fit(stack: np.ndarray, counts: np.ndarray, tol: TolerancePoli
     which made the certify workload (n = 2..128, 99 of them c = 1) 8%
     slower; so the dense path keeps _first_fit.
     """
-    limits = tol.residual_tol * np.sqrt(_squared_norms(stack))
+    limits = tol * np.sqrt(_squared_norms(stack))
     accepted = np.zeros(limits.shape, dtype=bool)
     rank = np.zeros(len(stack), dtype=np.intp)
     for start in range(0, stack.shape[1], _BLOCK):
@@ -400,7 +398,7 @@ def _stacked_first_fit(stack: np.ndarray, counts: np.ndarray, tol: TolerancePoli
     return accepted
 
 
-def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: TolerancePolicy):
+def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: float):
     """First fit in stride-eta1 train coordinates, block by block.
 
     Each class's candidates are written in the orthonormal stride-eta1 train
@@ -440,7 +438,7 @@ def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: TolerancePolicy
                 )
             counts = np.rint(np.trace(units, axis1=2, axis2=3).real).astype(np.intp)
             scale = np.sqrt(_squared_norms(units))
-            nonzero = scale > tol.residual_tol
+            nonzero = scale > tol
             zeros += int(nonzero.size - np.count_nonzero(nonzero))
             units /= np.where(nonzero, scale, 1.0)[..., None]
             pool = nonzero & (mirror[members] >= members)
@@ -470,7 +468,7 @@ def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: TolerancePolicy
     return [np.sort(np.concatenate(part)) for part in kept], top / bottom, zeros
 
 
-def _dense_pool(n: int, k: int, mirror: np.ndarray, gathers, tol: TolerancePolicy):
+def _dense_pool(n: int, k: int, mirror: np.ndarray, gathers, tol: float):
     """Class k densified: its n unit rows, its pool, and its number of vanishing rows.
 
     The rows come from one scatter (see projection._class_rows), in scan
@@ -479,7 +477,7 @@ def _dense_pool(n: int, k: int, mirror: np.ndarray, gathers, tol: TolerancePolic
     """
     units = _class_rows(n, k, gathers=gathers)
     scale = np.sqrt(_squared_norms(units))
-    nonzero = scale > tol.residual_tol
+    nonzero = scale > tol
     units /= np.where(nonzero, scale, 1.0)[:, None]
     pool = np.flatnonzero(nonzero & (mirror >= np.arange(n)))
     return units, pool, n - int(np.count_nonzero(nonzero))
@@ -499,7 +497,7 @@ def _unit_rows(n: int, classes: np.ndarray, positions: np.ndarray):
     return rows, norms
 
 
-def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
+def build_basis(n: int, tol: float = DEFAULT_TOL) -> EigenBasis:
     """Deterministic selection of n independent projected trains.
 
     D**2 reverses a train, so P_k g(-a, -b) is a unit multiple of
@@ -531,6 +529,7 @@ def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
     if any class misses its multiplicity, which would indicate a bug rather
     than bad input.
     """
+    check_tol(tol)
     eta = eta_pair(n)
     dims = multiplicities(n)
     position = np.arange(n)  # position a*eta2 + b holds label (k, a, b)
@@ -570,17 +569,17 @@ def build_basis(n: int, tol: TolerancePolicy = DEFAULT_TOL) -> EigenBasis:
 
 
 def _assemble(
-    eta: DivisorPair, classes, positions, scales, rows, tol: TolerancePolicy, zero_candidates
+    eta: DivisorPair, classes, positions, scales, rows, tol: float, zero_candidates
 ) -> EigenBasis:
     """The basis of the given per-vector arrays and unit rows, all in vector order.
 
     The one assembly shared by build_basis and import: supports are counted
-    at zero_tol in one pass, and `rows` is the basis's dense_matrix().  The
+    at tol in one pass, and `rows` is the basis's dense_matrix().  The
     arrays are made read-only, since the caches derived from them (records,
     flat labels, Gram blocks and their inverses, reports) would not see a
     later write: an edited basis is a new one, assembled from edited copies.
     """
-    support = np.count_nonzero(np.abs(rows) > tol.zero_tol, axis=1)
+    support = np.count_nonzero(np.abs(rows) > tol, axis=1)
     for array in (classes, positions, scales, support, rows):
         array.flags.writeable = False
     return EigenBasis(
@@ -605,7 +604,7 @@ class SparsityAudit:
     ratio: float
 
 
-def audit_sparsity(basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL) -> SparsityAudit:
+def audit_sparsity(basis: EigenBasis) -> SparsityAudit:
     """Exact nonzero counts checked against the divisor bounds.
 
     Raises VerificationError naming the offending vector if any support
@@ -614,7 +613,7 @@ def audit_sparsity(basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL) -> Spa
     lower = (basis.eta.eta1 + basis.eta.eta2) / 2
     upper = 2 * (basis.eta.eta1 + basis.eta.eta2)
     support = basis.support
-    outside = np.flatnonzero((support < lower - tol.zero_tol) | (support > upper))
+    outside = np.flatnonzero((support < lower) | (support > upper))
     if outside.size:
         i = outside[0]
         k, a, b = basis.labels()[i]
@@ -631,7 +630,7 @@ def audit_sparsity(basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL) -> Spa
         upper_bound=upper,
         ratio=top / lower,
     )
-    if audit.ratio > 4.0 + tol.zero_tol:
+    if audit.ratio > 4.0:
         raise VerificationError(
             f"n={basis.n}: max support {audit.max_support} exceeds four times "
             f"the lower bound {lower}"
@@ -662,20 +661,21 @@ def _uncertainty_ok(n: int, s: int, sp: int, divs: Optional[list[int]] = None) -
     return True
 
 
-def check_uncertainty(v, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def check_uncertainty(v, tol: float = DEFAULT_TOL) -> bool:
     """Do v and its spectrum satisfy the support-size constraints?
 
-    Counts supports at zero_tol on the unit-normalized vector and its
+    Counts supports at tol on the unit-normalized vector and its
     reference transform, then applies the product bound and the
     consecutive-divisor bound.
     """
+    check_tol(tol)
     arr = as_vector(v)
     norm = float(np.linalg.norm(arr))
-    if norm <= tol.zero_tol:
+    if norm <= tol:
         raise ValueError("zero vector has no support bound")
     unit = arr / norm
-    s = int(np.count_nonzero(np.abs(unit) > tol.zero_tol))
-    sp = int(np.count_nonzero(np.abs(naive_dft(unit)) > tol.zero_tol))
+    s = int(np.count_nonzero(np.abs(unit) > tol))
+    sp = int(np.count_nonzero(np.abs(naive_dft(unit)) > tol))
     return _uncertainty_ok(arr.size, s, sp)
 
 
@@ -697,10 +697,10 @@ class GramReport:
     witness: Optional[tuple[tuple[int, int, int], tuple[int, int, int], complex]]
 
 
-def gram_report(basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL) -> GramReport:
+def gram_report(basis: EigenBasis, tol: float = DEFAULT_TOL) -> GramReport:
     """Classify the basis from the pairs i < j within each class."""
-    key = (tol.zero_tol, tol.residual_tol)
-    if key not in basis._reports:
+    check_tol(tol)
+    if tol not in basis._reports:
         pairs = []
         for pos, g in basis._class_grams:
             iu, ju = np.triu_indices(len(pos), k=1)
@@ -708,7 +708,7 @@ def gram_report(basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL) -> GramRe
         i, j, vals = (np.concatenate(part) for part in zip(*pairs))
         mods = np.abs(vals)
         max_off = float(mods.max(initial=0.0))
-        usable = (mods > tol.residual_tol) & (mods < 1.0 - tol.residual_tol)
+        usable = (mods > tol) & (mods < 1.0 - tol)
         witness = None
         if np.any(usable):
             mods = np.where(usable, mods, -1.0)
@@ -716,12 +716,12 @@ def gram_report(basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL) -> GramRe
             first = tied[np.lexsort((j[tied], i[tied]))[0]]  # the first tied pair wins
             labels = basis.labels()
             witness = (labels[i[first]], labels[j[first]], complex(vals[first]))
-        orthogonal = max_off <= tol.residual_tol
-        basis._reports[key] = GramReport(basis.n, orthogonal, max_off, witness)
-    return basis._reports[key]
+        orthogonal = max_off <= tol
+        basis._reports[tol] = GramReport(basis.n, orthogonal, max_off, witness)
+    return basis._reports[tol]
 
 
-def _survey(max_n: int, tol: TolerancePolicy) -> Iterator[tuple[EigenBasis, GramReport]]:
+def _survey(max_n: int, tol: float) -> Iterator[tuple[EigenBasis, GramReport]]:
     """Build and Gram-classify every dimension from 2 through max_n, in order."""
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
@@ -730,8 +730,6 @@ def _survey(max_n: int, tol: TolerancePolicy) -> Iterator[tuple[EigenBasis, Gram
         yield basis, gram_report(basis, tol)
 
 
-def orthogonality_survey(
-    max_n: int, tol: TolerancePolicy = DEFAULT_TOL
-) -> list[tuple[int, bool]]:
+def orthogonality_survey(max_n: int, tol: float = DEFAULT_TOL) -> list[tuple[int, bool]]:
     """Build and Gram-classify every dimension from 2 through max_n."""
     return [(basis.n, report.is_orthogonal) for basis, report in _survey(max_n, tol)]

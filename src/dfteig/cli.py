@@ -24,17 +24,18 @@ from .basis import (
 )
 from .fast import _ldexp, _unit_exponent, synthesize, to_coefficients
 from .fileio import export_basis, import_basis, read_vector, write_survey_csv, write_vector
-from .numerics import DEFAULT_TOL, TolerancePolicy, VerificationError, dft_matrix
+from .numerics import DEFAULT_TOL, VerificationError, check_tol, dft_matrix
 from .projection import EIGENVALUES
 
 SPORADIC_ORTHOGONAL = {2, 3, 8}
 
 
-def _tolerance(args) -> TolerancePolicy:
-    value = getattr(args, "tol", None)
-    if value is None:
-        return DEFAULT_TOL
-    return TolerancePolicy(zero_tol=value, residual_tol=value)
+def _tol(text: str) -> float:
+    """argparse type of --tol: a float in check_tol's range, else a usage error."""
+    try:
+        return check_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _expected_orthogonal(n: int) -> bool:
@@ -45,7 +46,7 @@ def cmd_build(args) -> int:
     if args.n < 1:
         print("build: --n must be a positive integer", file=sys.stderr)
         return 2
-    basis = build_basis(args.n, _tolerance(args))
+    basis = build_basis(args.n, args.tol)
     export_basis(basis, args.out, fmt=args.format)
     print(
         f"wrote {args.out}: n={basis.n} eta=({basis.eta.eta1},{basis.eta.eta2}) "
@@ -63,11 +64,11 @@ def _oracle_pass(basis, tol):
     """
     mat = basis.dense_matrix()
     norms = np.linalg.norm(mat, axis=1)
-    if not np.all(norms > tol.zero_tol):
+    if not np.all(norms > tol):
         raise ValueError("cannot classify a numerically zero vector")
     spectra = mat @ dft_matrix(basis.n)
     # supports of the unit rows and of their transforms
-    limits = tol.zero_tol * norms[:, None]
+    limits = tol * norms[:, None]
     supports = np.count_nonzero(np.abs(mat) > limits, axis=1).tolist()
     spectral = np.count_nonzero(np.abs(spectra) > limits, axis=1).tolist()
     divs = _divisors(basis.n)
@@ -83,8 +84,8 @@ def _verify_checks(basis, tol):
     The eigenvector residuals and the uncertainty bounds both come from
     one product of the stacked unit rows with the reference DFT matrix
     (see _oracle_pass); they also bound every inner product across two
-    classes.  The rank is the count of singular values above residual_tol
-    of each class's stacked unit rows, summed over the classes, which
+    classes.  The rank is the count of singular values above tol of each
+    class's stacked unit rows, summed over the classes, which
     cross-class-orthogonality certifies to be orthogonal; its detail gives
     the smallest singular value, the check's margin.
     """
@@ -100,19 +101,19 @@ def _verify_checks(basis, tol):
     worst = float(residuals.max())
     yield (
         "eigenvector-residuals",
-        worst <= tol.residual_tol,
+        worst <= tol,
         f"max {worst:.3e}",
     )
 
     rows, ks = basis.dense_matrix(), basis.classes
     blocks = [rows[ks == k] for k in range(4) if k in ks]
     sv = np.concatenate([np.linalg.svd(block, compute_uv=False) for block in blocks])
-    rank = int(np.count_nonzero(sv > tol.residual_tol))
+    rank = int(np.count_nonzero(sv > tol))
     detail = f"rank {rank} of {n}, smallest singular value {sv.min():.3e}"
     yield "independent-rank", rank == n, detail
 
     try:
-        audit = audit_sparsity(basis, tol)
+        audit = audit_sparsity(basis)
         yield (
             "sparsity-bounds",
             True,
@@ -138,7 +139,7 @@ def _verify_checks(basis, tol):
         default=0.0,
     )
     detail = f"bound {bound:.3e} from the eigenvector residuals"
-    yield "cross-class-orthogonality", bound <= tol.residual_tol, detail
+    yield "cross-class-orthogonality", bound <= tol, detail
 
     report = gram_report(basis, tol)
     expected = _expected_orthogonal(n)
@@ -154,7 +155,6 @@ def _verify_checks(basis, tol):
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerance(args)
     if args.input:
         basis = import_basis(args.input)
         if args.n is not None and args.n != basis.n:
@@ -167,10 +167,10 @@ def cmd_verify(args) -> int:
         if args.n is None or args.n < 1:
             print("verify: provide --n N or --input FILE", file=sys.stderr)
             return 2
-        basis = build_basis(args.n, tol)
+        basis = build_basis(args.n, args.tol)
     print(f"verifying n={basis.n} (eta1={basis.eta.eta1}, eta2={basis.eta.eta2})")
     all_ok = True
-    for name, ok, detail in _verify_checks(basis, tol):
+    for name, ok, detail in _verify_checks(basis, args.tol):
         all_ok &= ok
         print(f"  {name:<28}{'PASS' if ok else 'FAIL'}  {detail}")
     print("result: " + ("all checks passed" if all_ok else "CLAIM VIOLATION"))
@@ -178,7 +178,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    tol = _tolerance(args)
     v = read_vector(args.input)
     if v.size != args.n:
         print(
@@ -186,8 +185,8 @@ def cmd_analyze(args) -> int:
             file=sys.stderr,
         )
         return 2
-    basis = build_basis(args.n, tol)
-    coeff = to_coefficients(v, basis, tol)
+    basis = build_basis(args.n, args.tol)
+    coeff = to_coefficients(v, basis, args.tol)
     write_vector(args.out, coeff)
     e = _unit_exponent(v)  # measure at the scale the solve ran at
     v, coeff = _ldexp(v, -e), _ldexp(coeff, -e)
@@ -195,18 +194,17 @@ def cmd_analyze(args) -> int:
     residual = float(np.linalg.norm(synthesize(coeff, basis) - v))
     relative = residual / norm if norm > 0 else residual
     print(f"wrote {args.out}: {basis.n} coefficients, round-trip residual {relative:.3e}")
-    return 0 if relative <= tol.residual_tol else 1
+    return 0 if relative <= args.tol else 1
 
 
 def cmd_survey(args) -> int:
     if args.max_n < 2:
         print("survey: --max-n must be at least 2", file=sys.stderr)
         return 2
-    tol = _tolerance(args)
     rows = []
     orthogonal = []
-    for basis, report in _survey(args.max_n, tol):
-        rows.append((basis.n, basis.eta, audit_sparsity(basis, tol), report))
+    for basis, report in _survey(args.max_n, args.tol):
+        rows.append((basis.n, basis.eta, audit_sparsity(basis), report))
         if report.is_orthogonal:
             orthogonal.append(basis.n)
         if not report.is_orthogonal and report.witness is None:
@@ -234,26 +232,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="run every certified check on a basis")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--input", default=None, help="verify an exported basis file")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="expand a vector in the basis")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--input", required=True, help="vector file (index,re,im lines)")
     p.add_argument("--out", required=True, help="coefficient output path")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("survey", help="orthogonality classification over 2..max-n")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--out", default=None, help="CSV report path")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_survey)
 
     return parser

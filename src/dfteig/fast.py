@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import EigenBasis, gram_report
-from .numerics import DEFAULT_TOL, TolerancePolicy, as_vector, omega_power
+from .numerics import DEFAULT_TOL, as_vector, check_tol, omega_power
 from .trains import DivisorPair, eta_pair
 
 __all__ = [
@@ -199,9 +199,7 @@ def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def to_coefficients(
-    v, basis: EigenBasis, tol: TolerancePolicy = DEFAULT_TOL
-) -> np.ndarray:
+def to_coefficients(v, basis: EigenBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Expansion coefficients of v in the basis, in label order.
 
     For an orthogonal basis the coefficients are the selected correlation
@@ -210,14 +208,15 @@ def to_coefficients(
     square, is formed from that class's rows and inverted, once per basis,
     and no n x n Gram is built.  The solution is then sharpened by residual
     correction through the fast synthesis path until the reconstruction
-    meets residual_tol.  Every step is linear, so a vector whose norm would
+    meets tol.  Every step is linear, so a vector whose norm would
     over- or underflow is solved at unit scale, by an exact power of two,
     and the coefficients scaled back; one synthesis at unit scale then
-    checks that they still reconstruct v to residual_tol, which coefficients
+    checks that they still reconstruct v to tol, which coefficients
     that land among the subnormal floats may not.  Raises ValueError for a
     basis that does not hold n vectors, and for coefficients that overflow
     the float range or underflow it that far.
     """
+    check_tol(tol)
     arr = as_vector(v)
     if arr.size != basis.n:
         raise ValueError(f"dimension mismatch: vector {arr.size} vs basis {basis.n}")
@@ -229,7 +228,7 @@ def to_coefficients(
             raise ValueError("the coefficients overflow the float range")
         back = synthesize(_ldexp(coeff, -e), basis)  # subnormal coefficients lose low bits
         miss = float(np.linalg.norm(back - unit) / np.linalg.norm(unit))
-        if not miss <= tol.residual_tol:
+        if not miss <= tol:
             raise ValueError(f"the coefficients underflow the float range (miss {miss:.2e})")
         return coeff
     coeff = _selected_correlations(analyze(arr), basis)
@@ -240,7 +239,7 @@ def to_coefficients(
     norm = float(np.linalg.norm(arr))
     for _ in range(60):
         residual = arr - synthesize(coeff, basis)
-        if float(np.linalg.norm(residual)) <= tol.residual_tol * norm:
+        if float(np.linalg.norm(residual)) <= tol * norm:
             return coeff
         coeff = coeff + _solve(solvers, _selected_correlations(analyze(residual), basis))
     raise RuntimeError(

@@ -63,7 +63,7 @@ def write_vector(path, v) -> None:
 
 def read_vector(path) -> np.ndarray:
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -193,6 +193,8 @@ def _records_from_payload(payload, path) -> EigenBasis:
         )
     labels, scales = [], []
     for pos, vec in enumerate(raw_vectors):
+        if not isinstance(vec, dict):
+            raise ValueError(f"{path}: vector {pos} must be an object, got {type(vec).__name__}")
         try:
             label = _label(vec, eta)
             scale = _number(vec["scale"], f"scale of label {label}")
@@ -206,7 +208,7 @@ def _records_from_payload(payload, path) -> EigenBasis:
     positions = a * eta.eta2 + b
     rows, norms = _unit_rows(n, classes, positions)
     # each check runs over every record, in file order, and names the first it refuses
-    vanishing = np.flatnonzero(~(norms > DEFAULT_TOL.residual_tol))
+    vanishing = np.flatnonzero(~(norms > DEFAULT_TOL))
     if vanishing.size:
         i = vanishing[0]
         raise ValueError(f"{path}: vector {i}: the projection of label {labels[i]} vanishes")
@@ -216,7 +218,7 @@ def _records_from_payload(payload, path) -> EigenBasis:
     if bad.size:
         i = bad[0]
         raise ValueError(
-            f"{path}: vector {i}: scale of label {labels[i]} differ "
+            f"{path}: vector {i}: scale of label {labels[i]} differs "
             f"from its projected train by {error[i]:.2e} (limit {_LABEL_TOL:g})"
         )
     return _assemble(eta, classes, positions, scales, rows, DEFAULT_TOL, 0)
@@ -231,9 +233,9 @@ _CSV_FIELDS = {
 
 def _import_basis_csv(path) -> EigenBasis:
     payload = {"vectors": []}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
+            if not any(field.strip() for field in row):  # a blank or whitespace-only line
                 continue
             try:
                 fields = _CSV_FIELDS.get(row[0])
@@ -257,10 +259,10 @@ def _import_basis_csv(path) -> EigenBasis:
 def import_basis(path) -> EigenBasis:
     """Read a basis export back; the format is sniffed from the content.
 
-    JSON is a file whose first character after JSON's own leading
-    whitespace is `{`; anything else is read as CSV.
+    JSON is a file whose first character after a UTF-8 byte-order mark and
+    JSON's own leading whitespace is `{`; anything else is read as CSV.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     if not text.lstrip(" \t\n\r").startswith("{"):
         return _import_basis_csv(path)

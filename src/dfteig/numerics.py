@@ -11,14 +11,13 @@ Inner products are conjugate-linear in the SECOND argument throughout.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "VerificationError",
-    "TolerancePolicy",
     "DEFAULT_TOL",
+    "check_tol",
     "as_vector",
     "omega_power",
     "dft_matrix",
@@ -32,27 +31,17 @@ class VerificationError(Exception):
     """A certified numeric claim failed its check."""
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Thresholds applied to unit-scale quantities.
-
-    zero_tol decides when a magnitude counts as zero (support counting,
-    phase checks); residual_tol bounds eigenvector and orthogonality
-    residuals.  Both must be positive and at most 1e-6; the defaults sit
-    far above double-precision transform error at desk scale.
-    """
-
-    zero_tol: float = 1e-9
-    residual_tol: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("zero_tol", "residual_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1e-6:
-                raise ValueError(f"{name} must be in (0, 1e-6], got {value!r}")
+# The one threshold, on unit-scale quantities, of every certificate: supports,
+# phases, residuals, rank and the solve's stopping rule.  It sits far above
+# double-precision transform error at desk scale.
+DEFAULT_TOL = 1e-9
 
 
-DEFAULT_TOL = TolerancePolicy()
+def check_tol(tol: float) -> float:
+    """Return tol if 0 < tol <= 1e-6, else raise ValueError (NaN included)."""
+    if not 0.0 < tol <= 1e-6:
+        raise ValueError(f"tol must be in (0, 1e-6], got {tol!r}")
+    return tol
 
 
 def as_vector(v) -> np.ndarray:
@@ -142,18 +131,19 @@ class EliminationState:
         self._rank += 1
 
 
-def try_extend_rank(state: EliminationState, v, tol: TolerancePolicy = DEFAULT_TOL):
-    """Accept v iff its residual against the pivots exceeds residual_tol * ||v||.
+def try_extend_rank(state: EliminationState, v, tol: float = DEFAULT_TOL):
+    """Accept v iff its residual against the pivots exceeds tol * ||v||.
 
     Returns (accepted, state); the state is updated in place on acceptance
     and the rank grows by exactly one.
     """
+    check_tol(tol)
     arr = as_vector(v)
     if arr.size != state.dim:
         raise ValueError(f"dimension mismatch: vector {arr.size} vs state {state.dim}")
     r = state.residual(arr)
     norm_r = float(np.linalg.norm(r))
-    if norm_r > tol.residual_tol * float(np.linalg.norm(arr)) and norm_r > 0.0:
+    if norm_r > tol * float(np.linalg.norm(arr)) and norm_r > 0.0:
         state._push(r / norm_r)
         return True, state
     return False, state

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, TolerancePolicy, as_vector, naive_dft, omega_power
+from .numerics import DEFAULT_TOL, as_vector, check_tol, naive_dft, omega_power
 from .trains import DivisorPair, ModulatedDeltaTrain, densify, dft_train, eta_pair
 
 __all__ = [
@@ -86,11 +86,12 @@ def densify_sum(s: TrainSum) -> np.ndarray:
     return out
 
 
-def verify_eigenvector(v, k: int, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def verify_eigenvector(v, k: int, tol: float = DEFAULT_TOL) -> float:
     """Relative residual ||D v - i**(-k) v|| / ||v|| under the reference DFT."""
+    check_tol(tol)
     arr = as_vector(v)
     norm = float(np.linalg.norm(arr))
-    if norm <= tol.zero_tol:
+    if norm <= tol:
         raise ValueError("cannot classify a numerically zero vector")
     lam = eigenvalue_of(k)
     return float(np.linalg.norm(naive_dft(arr) - lam * arr)) / norm

@@ -77,7 +77,7 @@ class ModulatedDeltaTrain:
         phase = complex(self.phase)
         if b != self.b:  # an in-range b needs no shift factor
             phase *= complex(omega_power(self.n, -(self.b - b) * a))
-        if abs(abs(phase) - 1.0) > DEFAULT_TOL.zero_tol:
+        if abs(abs(phase) - 1.0) > DEFAULT_TOL:
             raise ValueError(f"phase must have unit magnitude, got |{phase!r}|")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

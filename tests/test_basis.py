@@ -33,7 +33,7 @@ from dfteig.basis import (
     _pivot_rows,
     _uncertainty_ok,
 )
-from dfteig.numerics import TolerancePolicy
+from dfteig.numerics import DEFAULT_TOL
 from dfteig.projection import _class_rows, _power_coordinates, _power_gathers
 
 
@@ -195,7 +195,7 @@ def _reference_pivot_rows(units, count, tol):
     for _ in range(count):
         norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
         top = float(norms.max())
-        if top <= tol.residual_tol:
+        if top <= tol:
             break
         pos = int(np.argmax(norms >= top * (1.0 - _TIE_MARGIN)))
         q = resid[pos] / norms[pos]
@@ -213,7 +213,7 @@ def test_pivot_rows_breaks_exact_ties_by_scan_order():
     # step takes the lowest position left
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
-    tol = TolerancePolicy()
+    tol = DEFAULT_TOL
     for units in (np.eye(12, dtype=complex), q):
         assert _pivot_rows(units, 5, tol) == _reference_pivot_rows(units, 5, tol) == list(range(5))
 
@@ -226,7 +226,7 @@ def test_pivot_rows_stops_at_the_rank_of_a_deficient_pool():
     rng = np.random.default_rng(1)
     distinct = _normalized(rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)))
     units = distinct[[0, 1, 0, 2, 1, 2]]
-    tol = TolerancePolicy()
+    tol = DEFAULT_TOL
     assert _pivot_rows(units, 5, tol) == _reference_pivot_rows(units, 5, tol) == [0, 1, 3]
 
 
@@ -239,14 +239,14 @@ def test_pivot_rows_matches_the_reference_on_an_ill_conditioned_pool():
     units = _normalized((left * np.logspace(0, -8, 20)) @ right)
     sv = np.linalg.svd(units, compute_uv=False)
     assert 1e7 < sv[0] / sv[-1] < 1e9
-    tol = TolerancePolicy()
+    tol = DEFAULT_TOL
     assert _pivot_rows(units, 10, tol) == _reference_pivot_rows(units, 10, tol)
 
 
 def test_pivot_rows_matches_the_reference_on_a_gated_class():
     # class 2 at the prime 1009: first fit fails the gate, and one pivot
     # step's runner-up sits 1.2e-9 relative below the tie band
-    n, k, tol = 1009, 2, TolerancePolicy()
+    n, k, tol = 1009, 2, DEFAULT_TOL
     eta = eta_pair(n)
     a, b = np.divmod(np.arange(n), eta.eta2)
     mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)
@@ -267,7 +267,7 @@ def _reference_labels(n, tol):
     for k in range(4):
         units = _class_rows(n, k)
         scale = np.linalg.norm(units, axis=1)
-        nonzero = scale > tol.residual_tol
+        nonzero = scale > tol
         live = np.flatnonzero(nonzero)
         units /= np.where(nonzero, scale, 1.0)[:, None]
         kept = _reference_first_fit(units, live, dims[k], tol)
@@ -291,9 +291,8 @@ def _expected_labels(n, tol):
 @pytest.mark.parametrize("n", list(range(1, 129)) + [144, 224, 225, 256, 257, 509, 576, 601])
 def test_build_basis_keeps_the_reference_rows(n):
     # mirror pruning, block first fit, orbit blocks and Gram-space pivoting change no label
-    for value in PARITY_TOLS:
-        tol = TolerancePolicy(zero_tol=value, residual_tol=value)
-        assert build_basis(n, tol).labels() == _expected_labels(n, tol), value
+    for tol in PARITY_TOLS:
+        assert build_basis(n, tol).labels() == _expected_labels(n, tol), tol
 
 
 @pytest.mark.parametrize("n, bound", [(108, 5.0), (180, 7.0), (120, 12.0)])
@@ -302,7 +301,7 @@ def test_gated_block_classes_fall_back_to_dense_pivoting(monkeypatch, n, bound):
     # in every class at 108, 5.0, 7.8, 10.4, 5.0 at 180, and 10.3, 14.5,
     # 10.3, 13.7 at 120, so the lowered gate fires in all classes at 108,
     # in classes 1 and 2 at 180, and in classes 1 and 3 at 120.
-    tol = TolerancePolicy()
+    tol = DEFAULT_TOL
     unpatched = build_basis(n, tol).labels()
     monkeypatch.setattr(dfteig.basis, "CONDITION_BOUND", bound)
     labels = build_basis(n, tol).labels()

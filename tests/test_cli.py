@@ -11,7 +11,6 @@ from dfteig import (
     BasisVectorRecord,
     EigenBasis,
     EliminationState,
-    TolerancePolicy,
     build_basis,
     check_uncertainty,
     gram_report,
@@ -363,10 +362,9 @@ def test_verify_survives_record_edits(tmp_path, capsys, n):
     "n,tol", [*((n, 1e-9) for n in [*range(1, 129), 240, 257, 276]), (41, 1e-6), (41, 1e-10)]
 )
 def test_rank_check_matches_cgs2(n, tol):
-    policy = TolerancePolicy(zero_tol=tol, residual_tol=tol)
-    basis = build_basis(n, policy)
-    rank = _cgs2_rank(basis, policy)
-    ok, detail = _rank_check(basis, policy)
+    basis = build_basis(n, tol)
+    rank = _cgs2_rank(basis, tol)
+    ok, detail = _rank_check(basis, tol)
     assert ok == (rank == n)
     assert detail.startswith(f"rank {rank} of {n}, smallest singular value ")
 
@@ -486,7 +484,7 @@ def test_analyze_residual_at_extreme_magnitudes(tmp_path, capsys, scale):
     assert main(["analyze", "--n", "3", "--input", str(vec_path), "--out", str(out_path)]) == 0
     assert np.all(np.isfinite(read_vector(out_path)))
     residual = float(capsys.readouterr().out.split()[-1])  # "... round-trip residual R"
-    assert residual <= DEFAULT_TOL.residual_tol
+    assert residual <= DEFAULT_TOL
 
 
 def test_analyze_refuses_coefficients_beyond_float_range(tmp_path, capsys):
@@ -551,8 +549,13 @@ def test_determinism_of_build_export(tmp_path):
 
 
 def test_tol_flag_validation(tmp_path, capsys):
-    # tolerances above 1e-6 violate the policy and surface as usage errors
-    assert main(["verify", "--n", "4", "--tol", "0.5"]) == 2
+    # a tolerance outside (0, 1e-6] is a usage error that names the flag
+    path = str(tmp_path / "x")
+    for argv in (["build", "--n", "4", "--out", path], ["verify", "--n", "4"],
+                 ["analyze", "--n", "4", "--input", path, "--out", path], ["survey", "--max-n", "4"]):
+        for value in ("0.5", "0", "nan", "-1e-9", "tiny"):
+            assert main([*argv, "--tol", value]) == 2
+            assert "--tol" in capsys.readouterr().err
     assert main(["verify", "--n", "4", "--tol", "1e-10"]) == 0
 
 

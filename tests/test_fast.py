@@ -218,7 +218,7 @@ def test_analyze_and_synthesize_read_no_recipe(monkeypatch):
         if n in bases:
             coeff = to_coefficients(v, bases[n])
             back = synthesize(coeff, bases[n])
-            assert np.linalg.norm(back - v) <= DEFAULT_TOL.residual_tol * np.linalg.norm(v)
+            assert np.linalg.norm(back - v) <= DEFAULT_TOL * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("n", [4, 9, 12, 16, 30, 36, 240, 257])
@@ -276,7 +276,7 @@ def test_round_trip(n):
     basis = build_basis(n)
     v = random_vector(n, seed=3 * n)
     coeff = to_coefficients(v, basis)
-    limit = DEFAULT_TOL.residual_tol * np.linalg.norm(v)
+    limit = DEFAULT_TOL * np.linalg.norm(v)
     assert np.linalg.norm(synthesize(coeff, basis) - v) <= limit
     assert np.linalg.norm(coeff @ basis.dense_matrix() - v) <= limit
 
@@ -292,14 +292,14 @@ def test_coefficients_match_dense_solve(n):
     # the ratio of the extreme eigenvalues over the class blocks.  With unit
     # rows U and U.T c = v exactly, a reconstruction residual r bounds the
     # relative coefficient error by (|r| / |v|) * sqrt(kappa) <=
-    # residual_tol * sqrt(kappa); the dense LU solve adds up to n*eps*kappa.
+    # tol * sqrt(kappa); the dense LU solve adds up to n*eps*kappa.
     classes = np.array([rec.k for rec in basis.vectors])
     eigs = np.concatenate([
         np.linalg.eigvalsh(gram[np.ix_(classes == k, classes == k)])
         for k in range(4) if np.any(classes == k)
     ])
     kappa = eigs.max() / eigs.min()
-    bound = DEFAULT_TOL.residual_tol * np.sqrt(kappa) + n * np.finfo(float).eps * kappa
+    bound = DEFAULT_TOL * np.sqrt(kappa) + n * np.finfo(float).eps * kappa
     coeff = to_coefficients(v, basis)
     assert np.linalg.norm(coeff - expected) <= bound * np.linalg.norm(expected)
 
@@ -330,7 +330,7 @@ def test_to_coefficients_at_extreme_magnitudes(n, scale):
         assert np.array_equal(coeff, to_coefficients(v, basis) * scale)
     unit = 2.0 ** -round(np.log2(scale))  # exact, and brings w to unit scale
     residual = synthesize(coeff * unit, basis) - w * unit
-    assert np.linalg.norm(residual) <= DEFAULT_TOL.residual_tol * np.linalg.norm(w * unit)
+    assert np.linalg.norm(residual) <= DEFAULT_TOL * np.linalg.norm(w * unit)
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-310, 1e-318, 5e-324])
@@ -347,7 +347,7 @@ def test_to_coefficients_refuses_coefficients_lost_below_normal_range(n, scale):
     e = -round(np.log2(scale))  # times 2**e, w is at unit scale; 2**1030 alone overflows
     coeff, w = (np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e) for z in (coeff, w))
     residual = synthesize(coeff, basis) - w
-    assert np.linalg.norm(residual) <= DEFAULT_TOL.residual_tol * np.linalg.norm(w)
+    assert np.linalg.norm(residual) <= DEFAULT_TOL * np.linalg.norm(w)
 
 
 def _reexported(basis, tmp_path, edit):
@@ -379,7 +379,7 @@ def test_round_trip_with_records_shuffled_across_classes(n, tmp_path):
     assert classes != sorted(classes)
     v = random_vector(n, seed=7 * n)
     coeff = to_coefficients(v, basis)
-    limit = DEFAULT_TOL.residual_tol * np.linalg.norm(v)
+    limit = DEFAULT_TOL * np.linalg.norm(v)
     assert np.linalg.norm(synthesize(coeff, basis) - v) <= limit
     assert np.linalg.norm(coeff @ basis.dense_matrix() - v) <= limit
 

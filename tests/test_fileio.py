@@ -25,6 +25,12 @@ def test_vector_round_trip(tmp_path):
     assert np.array_equal(back, v)  # repr round-trips floats exactly
 
 
+def test_vector_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("\ufeff0,1.0,0.0\n1,0.5,-2.0\n", encoding="utf-8")
+    assert np.array_equal(read_vector(path), [1.0, 0.5 - 2.0j])
+
+
 def test_vector_parse_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0,1.0,0.0\n2,0.5,0.0\n")
@@ -130,6 +136,14 @@ def test_out_of_range_labels_rejected(tmp_path, key, value):
     assert "basis.json" in str(err.value)
 
 
+def test_record_that_is_not_an_object_rejected(tmp_path):
+    def edit(payload):
+        payload["vectors"][0] = list(payload["vectors"][0].values())
+
+    with pytest.raises(ValueError, match="basis.json: vector 0 must be an object, got list"):
+        import_basis(_edited_export(tmp_path, edit))
+
+
 def test_non_canonical_divisor_pair_rejected(tmp_path):
     def edit(payload):
         payload["eta1"], payload["eta2"] = 2, 6
@@ -167,14 +181,17 @@ def test_indented_file_imports_like_compact(tmp_path, n):
 
 
 @pytest.mark.parametrize(
-    "fmt, lead", [("json", "\n"), ("json", " \t\r\n"), ("csv", "\n")]
+    "fmt, lead",
+    [("json", "\n"), ("json", " \t\r\n"), ("csv", "\n"), ("csv", "  \n"), ("csv", " \t\n"),
+     ("json", "\ufeff"), ("csv", "\ufeff")],
 )
 def test_leading_whitespace_keeps_the_format(tmp_path, fmt, lead):
-    # JSON is sniffed past its leading whitespace; CSV skips a blank line
+    # JSON is sniffed past a byte-order mark and its leading whitespace; CSV
+    # skips the mark and blank or whitespace-only lines, here also trailing ones
     basis = build_basis(12)
     path = tmp_path / f"basis.{fmt}"
     export_basis(basis, path, fmt=fmt)
-    path.write_text(lead + path.read_text())
+    path.write_text(lead + path.read_text() + lead.lstrip("\ufeff"), encoding="utf-8")
     back = import_basis(path)
     assert back.labels() == basis.labels()
     assert np.array_equal(back.scale, basis.scale)
@@ -188,5 +205,5 @@ def test_bad_records_in_two_classes_name_the_first_in_file_order(tmp_path):
             vectors[pos]["scale"] *= 2
 
     path = _edited_export(tmp_path, edit)
-    with pytest.raises(ValueError, match=r"basis.json: vector 0: scale of label \(3, "):
+    with pytest.raises(ValueError, match=r"basis.json: vector 0: scale of label \(3, \d+, \d+\) differs from"):
         import_basis(path)

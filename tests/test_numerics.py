@@ -4,12 +4,18 @@ import pytest
 from dfteig import (
     DEFAULT_TOL,
     EliminationState,
-    TolerancePolicy,
     as_vector,
+    build_basis,
+    check_uncertainty,
     dft_matrix,
+    gram_report,
     naive_dft,
+    orthogonality_survey,
+    to_coefficients,
     try_extend_rank,
+    verify_eigenvector,
 )
+from dfteig.numerics import check_tol
 
 
 def scalar_dft(v):
@@ -88,12 +94,32 @@ def test_as_vector_rejections():
         as_vector([np.inf * 1j, 1.0])
 
 
-def test_tolerance_policy_validation():
-    TolerancePolicy(1e-12, 1e-7)
-    with pytest.raises(ValueError):
-        TolerancePolicy(zero_tol=0.0)
-    with pytest.raises(ValueError):
-        TolerancePolicy(residual_tol=1e-3)
+def test_check_tol():
+    assert check_tol(1e-12) == 1e-12
+    assert check_tol(1e-6) == 1e-6
+    for tol in (0.0, -1e-9, 1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be in"):
+            check_tol(tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-3, np.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: build_basis(4, tol),
+        lambda tol: gram_report(build_basis(4), tol),
+        lambda tol: to_coefficients(np.ones(4), build_basis(4), tol),
+        lambda tol: verify_eigenvector(np.ones(4), 0, tol),
+        lambda tol: check_uncertainty(np.ones(4), tol),
+        lambda tol: try_extend_rank(EliminationState(4), np.ones(4), tol),
+        lambda tol: orthogonality_survey(4, tol),
+    ],
+    ids=["build_basis", "gram_report", "to_coefficients", "verify_eigenvector",
+         "check_uncertainty", "try_extend_rank", "orthogonality_survey"],
+)
+def test_public_functions_refuse_a_bad_tol(call, tol):
+    with pytest.raises(ValueError, match="tol must be in"):
+        call(tol)
 
 
 def test_try_extend_rank_basic():
@@ -152,5 +178,4 @@ def test_try_extend_rank_dimension_mismatch():
 
 
 def test_default_tolerances():
-    assert DEFAULT_TOL.zero_tol == 1e-9
-    assert DEFAULT_TOL.residual_tol == 1e-9
+    assert DEFAULT_TOL == 1e-9
