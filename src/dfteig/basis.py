@@ -31,10 +31,11 @@ classification.
 
 A basis is a set of arrays in vector order: each vector's class,
 position a*eta2 + b, scale and support, and one (n, n) array of unit rows,
-its dense_matrix().  Both selection paths yield only their kept positions,
-which _unit_rows turns into unit rows and norms, as it does for import;
-_assemble then counts the supports.  Records, class Gram blocks and their
-inverses are derived from the arrays on first read.
+its dense_matrix().  _unit_rows turns labels into unit rows and norms,
+each row divided by its norm wherever that is above 0, for class arrays,
+kept rows and import alike; a pool takes only rows whose norm is above
+tol.  _assemble then counts the supports.  Records, class Gram blocks and
+their inverses are derived from the arrays on first read.
 """
 
 from __future__ import annotations
@@ -468,31 +469,18 @@ def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: float):
     return [np.sort(np.concatenate(part)) for part in kept], top / bottom, zeros
 
 
-def _dense_pool(n: int, k: int, mirror: np.ndarray, gathers, tol: float):
-    """Class k densified: its n unit rows, its pool, and its number of vanishing rows.
+def _unit_rows(n: int, k, select=None, *, gathers=None):
+    """_class_rows(n, k, select) divided by their norms where above 0, and the norms.
 
-    The rows come from one scatter (see projection._class_rows), in scan
-    order, and rows whose projection vanished are left unnormalized.  The
-    pool is every nonzero row that comes no later than its mirror.
+    The one label-to-row path: build_basis makes its class arrays and kept
+    rows here, and import makes a basis's rows here.  The norms are
+    np.linalg.norm's, taken _BLOCK rows at a time so that no temporary the
+    size of the rows is made.
     """
-    units = _class_rows(n, k, gathers=gathers)
-    scale = np.sqrt(_squared_norms(units))
-    nonzero = scale > tol
-    units /= np.where(nonzero, scale, 1.0)[:, None]
-    pool = np.flatnonzero(nonzero & (mirror >= np.arange(n)))
-    return units, pool, n - int(np.count_nonzero(nonzero))
-
-
-def _unit_rows(n: int, classes: np.ndarray, positions: np.ndarray):
-    """The unit rows of labels (classes[i], positions[i]) and their raw trains' norms.
-
-    Row i is row positions[i] of _class_rows(n, classes[i]) divided by its
-    norm, and a vanishing row is left unnormalized; all rows come from one
-    gather and one scatter per DFT power.  build_basis and import both
-    make a basis's rows here.
-    """
-    rows = _class_rows(n, classes, positions)
-    norms = np.linalg.norm(rows, axis=1)
+    rows = _class_rows(n, k, select, gathers=gathers)
+    norms = np.empty(len(rows))
+    for start in range(0, len(rows), _BLOCK):
+        norms[start:start + _BLOCK] = np.linalg.norm(rows[start:start + _BLOCK], axis=1)
     rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
     return rows, norms
 
@@ -525,9 +513,10 @@ def build_basis(n: int, tol: float = DEFAULT_TOL) -> EigenBasis:
     fails the gate there is densified and pivoted as on the other path.
     Either path yields only the kept positions of each class; once its
     arrays are freed, _unit_rows densifies the kept labels, all four
-    classes in one call, in vector order (class, then scan order).  Raises
-    if any class misses its multiplicity, which would indicate a bug rather
-    than bad input.
+    classes in one call, in vector order (class, then scan order), as it
+    densifies each class array, so a kept row is bitwise its row there.
+    Raises if any class misses its multiplicity, which would indicate a bug
+    rather than bad input.
     """
     check_tol(tol)
     eta = eta_pair(n)
@@ -535,20 +524,24 @@ def build_basis(n: int, tol: float = DEFAULT_TOL) -> EigenBasis:
     position = np.arange(n)  # position a*eta2 + b holds label (k, a, b)
     a, b = np.divmod(position, eta.eta2)
     mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)
+    first = mirror >= position  # the earlier candidate of each mirror pair
     if math.gcd(eta.eta1, eta.eta2) > 1:
         kept, condition, zeros = _select_in_blocks(eta, mirror, tol)
         gated = np.flatnonzero(condition > CONDITION_BOUND).tolist()
         gathers = _power_gathers(n) if gated else None
         for k in gated:
-            units, pool, _ = _dense_pool(n, k, mirror, gathers, tol)
+            units, norms = _unit_rows(n, k, gathers=gathers)
+            pool = np.flatnonzero((norms > tol) & first)
             kept[k] = pool[_pivot_rows(units[pool], dims[k], tol)]
             del units  # freed before the next class is densified
     else:
         kept, zeros = [], 0
         gathers = _power_gathers(n)
         for k in range(4):
-            units, pool, vanishing = _dense_pool(n, k, mirror, gathers, tol)
-            zeros += vanishing
+            units, norms = _unit_rows(n, k, gathers=gathers)
+            nonzero = norms > tol
+            zeros += n - int(np.count_nonzero(nonzero))
+            pool = np.flatnonzero(nonzero & first)
             fit = pool[_first_fit(units, pool, dims[k], tol)]
             if fit.size and _ill_conditioned(units[fit]):
                 fit = pool[_pivot_rows(units[pool], dims[k], tol)]
@@ -608,7 +601,9 @@ def audit_sparsity(basis: EigenBasis) -> SparsityAudit:
     """Exact nonzero counts checked against the divisor bounds.
 
     Raises VerificationError naming the offending vector if any support
-    leaves [(eta1+eta2)/2, 2*(eta1+eta2)] or the max/lower ratio exceeds 4.
+    leaves [(eta1+eta2)/2, 2*(eta1+eta2)].  The upper bound is exactly four
+    times the lower, so once every support is within it the max/lower ratio
+    is at most 4 and needs no check of its own.
     """
     lower = (basis.eta.eta1 + basis.eta.eta2) / 2
     upper = 2 * (basis.eta.eta1 + basis.eta.eta2)
@@ -622,7 +617,7 @@ def audit_sparsity(basis: EigenBasis) -> SparsityAudit:
             f"{support[i]}, outside [{lower}, {upper}]"
         )
     top = int(support.max())
-    audit = SparsityAudit(
+    return SparsityAudit(
         n=basis.n,
         max_support=top,
         min_support=int(support.min()),
@@ -630,12 +625,6 @@ def audit_sparsity(basis: EigenBasis) -> SparsityAudit:
         upper_bound=upper,
         ratio=top / lower,
     )
-    if audit.ratio > 4.0:
-        raise VerificationError(
-            f"n={basis.n}: max support {audit.max_support} exceeds four times "
-            f"the lower bound {lower}"
-        )
-    return audit
 
 
 def _divisors(n: int) -> list[int]:
@@ -644,21 +633,21 @@ def _divisors(n: int) -> list[int]:
     return small + large
 
 
-def _uncertainty_ok(n: int, s: int, sp: int, divs: Optional[list[int]] = None) -> bool:
-    """Integer form of the support-size constraints.
+def _uncertainty_ok(n: int, s, sp):
+    """Integer form of the support-size constraints, elementwise over s and sp.
 
     s * sp >= n always, and whenever consecutive divisors d1 < d2 of n
-    bracket s, additionally sp * d1 * d2 >= n * (d1 + d2 - s).  `divs`, the
-    _divisors(n) list, lets a caller checking many vectors scan n once.
+    bracket s, additionally sp * d1 * d2 >= n * (d1 + d2 - s), taken at lo,
+    the largest divisor <= s, and hi, the smallest >= s.  When s is itself
+    a divisor, lo = hi = s and the bound reduces to the first, so the two
+    pairs that bracket s need no case of their own.  sp*lo*hi <= n**3 fits
+    in int64 for n up to 2 million, past any n whose rows fit in memory.
     """
-    if s * sp < n:
-        return False
-    if divs is None:
-        divs = _divisors(n)
-    for d1, d2 in zip(divs, divs[1:]):
-        if d1 <= s <= d2 and sp * d1 * d2 < n * (d1 + d2 - s):
-            return False
-    return True
+    s, sp = np.asarray(s, dtype=np.int64), np.asarray(sp, dtype=np.int64)
+    divs = np.array(_divisors(n), dtype=np.int64)
+    lo = divs[np.searchsorted(divs, s, side="right") - 1]
+    hi = divs[np.searchsorted(divs, s)]
+    return (s * sp >= n) & (sp * lo * hi >= n * (lo + hi - s))
 
 
 def check_uncertainty(v, tol: float = DEFAULT_TOL) -> bool:
@@ -676,7 +665,7 @@ def check_uncertainty(v, tol: float = DEFAULT_TOL) -> bool:
     unit = arr / norm
     s = int(np.count_nonzero(np.abs(unit) > tol))
     sp = int(np.count_nonzero(np.abs(naive_dft(unit)) > tol))
-    return _uncertainty_ok(arr.size, s, sp)
+    return bool(_uncertainty_ok(arr.size, s, sp))
 
 
 @dataclass(frozen=True)

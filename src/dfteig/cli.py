@@ -1,7 +1,7 @@
 """Command-line interface: build, verify, analyze, survey.
 
 Exit codes: 0 every requested check passed, 1 a certified claim failed,
-2 usage or I/O error.
+2 usage or I/O error, or too little memory for the requested n.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from .basis import (
-    _divisors,
     _survey,
     _uncertainty_ok,
     audit_sparsity,
@@ -69,10 +68,9 @@ def _oracle_pass(basis, tol):
     spectra = mat @ dft_matrix(basis.n)
     # supports of the unit rows and of their transforms
     limits = tol * norms[:, None]
-    supports = np.count_nonzero(np.abs(mat) > limits, axis=1).tolist()
-    spectral = np.count_nonzero(np.abs(spectra) > limits, axis=1).tolist()
-    divs = _divisors(basis.n)
-    verdicts = [_uncertainty_ok(basis.n, s, sp, divs) for s, sp in zip(supports, spectral)]
+    supports = np.count_nonzero(np.abs(mat) > limits, axis=1)
+    spectral = np.count_nonzero(np.abs(spectra) > limits, axis=1)
+    verdicts = _uncertainty_ok(basis.n, supports, spectral)
     lams = np.array(EIGENVALUES)[basis.classes]
     spectra -= lams[:, None] * mat
     return np.linalg.norm(spectra, axis=1) / norms, verdicts
@@ -270,6 +268,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 2
 
 

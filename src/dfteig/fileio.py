@@ -10,7 +10,8 @@ P_k g_{eta1}(a, b), so a label fixes it and the scale, its norm, is the
 only number stored.  Export reads the basis's label and scale arrays.
 Import types and range-checks every label, refusing integer fields given
 as floats, strings or booleans, makes the unit rows of all labels in file
-order with basis._unit_rows, as build_basis does, and refuses a record
+order with basis._unit_rows, the one label-to-row path, which also makes
+build_basis's class arrays and kept rows, and refuses a record
 whose projection vanishes or whose scale misses its row's norm by more
 than _LABEL_TOL, relative.  The basis keeps the file's scales and is made
 by basis._assemble.  Any other format_version is refused.  Version-1

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,16 +26,16 @@ import dfteig.basis
 from dfteig.basis import (
     _TIE_MARGIN,
     CONDITION_BOUND,
-    _dense_pool,
     _divisors,
     _first_fit,
     _ill_conditioned,
     _orbit_blocks,
     _pivot_rows,
     _uncertainty_ok,
+    _unit_rows,
 )
 from dfteig.numerics import DEFAULT_TOL
-from dfteig.projection import _class_rows, _power_coordinates, _power_gathers
+from dfteig.projection import _class_rows, _power_coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,8 @@ def test_pivot_rows_matches_the_reference_on_a_gated_class():
     eta = eta_pair(n)
     a, b = np.divmod(np.arange(n), eta.eta2)
     mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)
-    units, pool, _ = _dense_pool(n, k, mirror, _power_gathers(n), tol)
+    units, norms = _unit_rows(n, k)
+    pool = np.flatnonzero((norms > tol) & (mirror >= np.arange(n)))
     count = multiplicities(n)[k]
     assert _ill_conditioned(units[pool[_first_fit(units, pool, count, tol)]])
     chosen = _pivot_rows(units[pool], count, tol)
@@ -361,6 +363,46 @@ def test_class_rows_selection_is_bitwise_the_selected_rows(n):
         assert part.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 12, 30, 61, 257, 960])
+def test_class_arrays_hold_the_kept_rows_bitwise(monkeypatch, n):
+    # one label-to-row path: every class array the build densifies (all four
+    # at c = 1, the gated class 0 at 960, where c = 2) holds, at the kept
+    # positions, bitwise the basis's unit rows of that class
+    arrays = {}
+
+    def spy(n, k, select=None, *, gathers=None):
+        rows, norms = _unit_rows(n, k, select, gathers=gathers)
+        if select is None:
+            arrays[k] = rows.copy()
+        return rows, norms
+
+    monkeypatch.setattr(dfteig.basis, "_unit_rows", spy)
+    basis = build_basis(n)
+    gcd = math.gcd(basis.eta.eta1, basis.eta.eta2)
+    assert sorted(arrays) == ([0, 1, 2, 3] if gcd == 1 else [0])
+    for k, units in arrays.items():
+        mine = basis.classes == k
+        assert units[basis.positions[mine]].tobytes() == basis.rows[mine].tobytes()
+
+
+def test_unit_rows_makes_no_row_sized_temporary():
+    # the norms are taken in row blocks and the rows divided in place: a
+    # whole-array norm would peak at twice the rows' bytes
+    n = 1024
+    tracemalloc.start()
+    try:
+        rows, norms = _unit_rows(n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * rows.nbytes
+    # the norms are np.linalg.norm's, bit for bit
+    raw = _class_rows(n, 0)
+    assert norms.tobytes() == np.linalg.norm(raw, axis=1).tobytes()
+    nonzero = norms > 0.0
+    assert rows[nonzero].tobytes() == (raw[nonzero] / norms[nonzero, None]).tobytes()
+
+
 @pytest.mark.parametrize("n", [16, 36, 103])
 def test_record_dense_is_a_row_of_the_basis_matrix(tmp_path, n):
     # records are read-only views of the basis's arrays: they pin its one
@@ -420,6 +462,25 @@ def test_divisors_helper():
     assert _divisors(12) == [1, 2, 3, 4, 6, 12]
     assert _divisors(7) == [1, 7]
     assert _divisors(1) == [1]
+
+
+def _reference_uncertainty_ok(n, s, sp):
+    """The support-size constraints as a loop over consecutive divisor pairs."""
+    if s * sp < n:
+        return False
+    divs = _divisors(n)
+    for d1, d2 in zip(divs, divs[1:]):
+        if d1 <= s <= d2 and sp * d1 * d2 < n * (d1 + d2 - s):
+            return False
+    return True
+
+
+def test_uncertainty_ok_matches_the_divisor_loop():
+    # every s in 1..n and sp in 0..n, for every n up to 120
+    for n in range(1, 121):
+        s, sp = np.meshgrid(np.arange(1, n + 1), np.arange(n + 1), indexing="ij")
+        expected = [[_reference_uncertainty_ok(n, i, j) for j in range(n + 1)] for i in range(1, n + 1)]
+        assert np.array_equal(_uncertainty_ok(n, s, sp), expected), n
 
 
 def test_uncertainty_ok_frozen_cases():

@@ -559,6 +559,19 @@ def test_tol_flag_validation(tmp_path, capsys):
     assert main(["verify", "--n", "4", "--tol", "1e-10"]) == 0
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 596. GiB for an array"])
+def test_out_of_memory_is_an_error_not_a_failed_claim(monkeypatch, capsys, message):
+    # exit 2 with one `error:` line, not a traceback with the claim-failed code 1
+    def no_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("dfteig.cli.build_basis", no_memory)
+    assert main(["verify", "--n", "200000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert message in err
+
+
 def test_entrypoint_exits_with_main_code(tmp_path, monkeypatch, capsys):
     path = tmp_path / "b61.json"
     for argv, code in ((["build", "--n", "61", "--out", str(path)], 0),
