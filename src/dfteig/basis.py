@@ -15,7 +15,14 @@ Gram; the support bounds hold for every candidate, so they are unaffected.
 Selection takes one of two paths, chosen by c = gcd(eta1, eta2).  For
 c = 1 each class's n candidates are densified as one (n, n) array from
 the closed-form projection recipe, the four classes sharing one gather of
-the DFT powers, and first fit runs on it as block CGS2.  For c > 1 the
+the DFT powers.  A shifted Cholesky of the Gram of the class's first m
+pool rows, m its multiplicity, can prove their smallest singular value
+large enough that first fit would keep exactly them and the gate would
+pass (see _sigma_min_bound); then neither runs.  Otherwise first fit runs
+as block CGS2, and checks the gate early, on the rows it has kept when it
+has kept 64, 128 and 256, since dropping rows cannot raise a condition
+number.  The dense gate, early or final, is itself a shifted Cholesky
+first, and only rows it cannot certify take the SVD.  For c > 1 the
 candidates are written in the orthonormal stride-eta1 train basis instead,
 where each class splits into mutually orthogonal orbit blocks of at most
 4n/c**2 coordinates: first fit runs, batched, on all blocks of one orbit
@@ -73,6 +80,8 @@ CONDITION_BOUND = 1e6
 _TIE_MARGIN = 1e-9
 # Pool rows per block of first fit and of the pivoting Gram.
 _BLOCK = 64
+# Kept-row counts at which first fit on a dense class checks the gate early.
+_GATE_AT = (64, 128, 256)
 
 __all__ = [
     "CONDITION_BOUND",
@@ -188,7 +197,7 @@ class EigenBasis:
 
     def gram_matrix(self) -> np.ndarray:
         """All pairwise inner products <v_i, v_j> of the unit vectors, not cached."""
-        return self.rows @ self.rows.conj().T
+        return _gram(self.rows)
 
     @functools.cached_property
     def _flat(self) -> np.ndarray:
@@ -209,13 +218,11 @@ class EigenBasis:
         """Positions and Gram block of each class, each from its class's rows alone.
 
         Distinct classes are orthogonal, so these blocks are all of the Gram
-        that is read: a quarter of its flops and of its memory.
+        that is read: a quarter of its flops and of its memory.  verify's rank
+        certificate, gram_report and the solve all read them from this cache.
         """
-        grams = []
-        for pos in (np.flatnonzero(self.classes == k) for k in range(4)):
-            rows = self.rows[pos]
-            grams.append((pos, rows @ rows.conj().T))
-        return grams
+        return [(pos, _gram(self.rows[pos]))
+                for pos in (np.flatnonzero(self.classes == k) for k in range(4))]
 
     @functools.cached_property
     def _class_solvers(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -237,8 +244,83 @@ class EigenBasis:
         return {}
 
 
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """The Gram matrix U U^H of the rows: entry (i, j) is <u_i, u_j>."""
+    return rows @ rows.conj().T
+
+
+def _cholesky_shift(gram: np.ndarray, width: int, target: float) -> float:
+    """The shift s of _sigma_min_bound: target plus every rounding error it must cover.
+
+    `gram` is the computed Gram H = fl(U U^H) of m rows U of `width`
+    entries, G = U U^H is its exact value, and a Cholesky of H - s*I runs
+    to completion.  With u = eps/2, gamma_k = k*u / (1 - k*u) and d the
+    largest diagonal entry of H, three errors separate that from
+    lambda_min(G) >= s:
+
+    - forming H: a complex inner product of length `width` errs by at most
+      gamma_{width+2} |x|^T |y| (Higham, Accuracy and Stability of Numerical
+      Algorithms, 3.6), so |H - G| <= gamma_{width+2} |U| |U|^T entrywise
+      and ||H - G||_2 <= gamma_{width+2} ||U||_F**2 <= m*d*gamma_{width+2}
+      to first order;
+    - subtracting s from the diagonal: at most u*d;
+    - the Cholesky itself: once it completes, R^H R = H - s*I + dA with
+      |dA| <= gamma_{m+1} |R^H| |R| (Demmel 1989; Higham, Theorem 10.3),
+      and complex products add 2 to the count, so
+      ||dA||_2 <= gamma_{m+3} ||R||_F**2 <= m*d*gamma_{m+3} to first order.
+
+    R^H R is positive semidefinite, so lambda_min(G) >= s minus the three.
+    Hence s = target + 2*(m*d*(gamma_{width+2} + gamma_{m+3}) + u*d) leaves
+    lambda_min(G) >= target; the factor 2 covers the second-order terms and
+    the rounding of s itself.  Conversely, if lambda_min(G) >= 2*s, then
+    H - s*I has its smallest eigenvalue above m*d*gamma_{m+3}, so the
+    Cholesky completes (Demmel 1989; Higham, Theorem 10.7).
+    """
+    m = len(gram)
+    d = float(gram.diagonal().real.max(initial=0.0))
+    u = np.finfo(float).eps / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    return target + 2 * (m * d * (gamma(width + 2) + gamma(m + 3)) + u * d)
+
+
+def _sigma_min_bound(gram: np.ndarray, width: int, target: float) -> Optional[float]:
+    """sqrt(target), proven a lower bound on the rows' smallest singular value, or None.
+
+    `gram` is the computed Gram fl(U U^H) of m > 0 rows U of `width`
+    entries; only its lower triangle and the real part of its diagonal are
+    read.  This is Rump's floating-point test of positive definiteness
+    ("Verification of positive definiteness", BIT 46 (2006)): a Cholesky of
+    gram - s*I, with s from _cholesky_shift, that runs to completion proves
+    lambda_min(U U^H) >= target.  So the rows' Gram is never certified when
+    it is singular (a repeated row) or has an eigenvalue below target, and
+    always when its eigenvalues are all at least 2*s.  A Gram holding a NaN
+    or an infinity is not certified either.
+    """
+    shift = _cholesky_shift(gram, width, target)
+    if not math.isfinite(shift):
+        return None
+    try:
+        factor = np.linalg.cholesky(gram - shift * np.eye(len(gram)))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(factor.diagonal())):  # LAPACK lets a NaN through
+        return None
+    return math.sqrt(target)
+
+
 def _ill_conditioned(units: np.ndarray) -> bool:
-    """Does the 2-norm condition number of the rows exceed CONDITION_BOUND?"""
+    """Does the 2-norm condition number of the unit rows exceed CONDITION_BOUND?
+
+    m unit rows have sigma_max**2 <= m, so a shifted Cholesky of their Gram
+    that proves sigma_min**2 >= m / CONDITION_BOUND**2 (see _sigma_min_bound)
+    answers no; only rows it cannot certify take the SVD.
+    """
+    m, width = units.shape
+    if _sigma_min_bound(_gram(units), width, m / CONDITION_BOUND**2) is not None:
+        return False
     sv = np.linalg.svd(units, compute_uv=False)
     return bool(sv[0] > CONDITION_BOUND * sv[-1])
 
@@ -251,6 +333,13 @@ def _first_fit(units: np.ndarray, pool: np.ndarray, count: int, tol: float) -> l
     row of the block is then measured against the pivots accepted inside
     the block, again twice, and is accepted iff its residual norm exceeds
     tol times its own norm; its normalized residual becomes a pivot.
+
+    Early gate: when it has kept _GATE_AT rows, and has more to find, it
+    checks the rows kept so far (see _ill_conditioned) and stops, short of
+    `count`, if their condition number exceeds CONDITION_BOUND.  First fit
+    keeps rows in scan order, so they are a subset of its result, and
+    dropping rows cannot raise a condition number (Cauchy interlacing on
+    the Gram): the gate on the whole result would fire too.
     """
     kept: list[int] = []
     if not count:
@@ -277,6 +366,8 @@ def _first_fit(units: np.ndarray, pool: np.ndarray, count: int, tol: float) -> l
                 np.conjugate(pivots[rank], out=conj[rank])
                 kept.append(start + i)
                 if rank + 1 == count:
+                    return kept
+                if rank + 1 in _GATE_AT and _ill_conditioned(units[pool[kept]]):
                     return kept
                 q, qc = pivots[before:rank + 1], conj[before:rank + 1]
     return kept
@@ -502,8 +593,18 @@ def build_basis(n: int, tol: float = DEFAULT_TOL) -> EigenBasis:
 
     The path follows c = gcd(eta1, eta2).  For c = 1 each class is
     densified as one (n, n) array (the DFT powers' supports and roots are
-    gathered once for all four classes), first fit runs on it as block
-    CGS2 (see _first_fit), and the gate takes the SVD of the kept rows.
+    gathered once for all four classes).  Its first m pool rows, m the
+    multiplicity, are kept outright when a shifted Cholesky of their Gram
+    (see _sigma_min_bound) proves sigma_min**2 >= max(m / CONDITION_BOUND**2,
+    4*tol**2): every successive residual then exceeds 2*tol, so first fit
+    keeps exactly that prefix, and sigma_max**2 <= m bounds the condition
+    number by CONDITION_BOUND, so the gate passes.  Otherwise first fit runs
+    on the class as block CGS2 (see _first_fit), and the gate checks the
+    kept rows: a shifted Cholesky of their Gram that proves
+    sigma_min**2 >= m / CONDITION_BOUND**2 passes them, and only rows it
+    cannot certify take the SVD (see _ill_conditioned).  First fit stops
+    early when the rows it has kept at 64, 128 or 256 already fail the
+    gate, and a class it leaves short of m is pivoted.
     For c > 1 no class is densified: each candidate is written in
     stride-eta1 train coordinates, where the class splits into mutually
     orthogonal orbit blocks of at most 4n/c**2 coordinates (see
@@ -542,9 +643,19 @@ def build_basis(n: int, tol: float = DEFAULT_TOL) -> EigenBasis:
             nonzero = norms > tol
             zeros += n - int(np.count_nonzero(nonzero))
             pool = np.flatnonzero(nonzero & first)
-            fit = pool[_first_fit(units, pool, dims[k], tol)]
-            if fit.size and _ill_conditioned(units[fit]):
-                fit = pool[_pivot_rows(units[pool], dims[k], tol)]
+            m = dims[k]
+            # a prefix certified at target passes the gate (m unit rows have
+            # sigma_max**2 <= m), and each of its residuals exceeds 2*tol
+            target = max(m / CONDITION_BOUND**2, 4 * tol * tol)
+            prefix = pool[:m]
+            if prefix.size == m > 0 and (
+                _sigma_min_bound(_gram(units[prefix]), n, target) is not None
+            ):
+                fit = prefix  # what first fit keeps, and the gate passes
+            else:
+                fit = pool[_first_fit(units, pool, m, tol)]
+                if fit.size < m or (m and _ill_conditioned(units[fit])):
+                    fit = pool[_pivot_rows(units[pool], m, tol)]
             kept.append(fit)
             del units  # freed before the next class is densified
     del gathers  # freed before the kept rows are densified

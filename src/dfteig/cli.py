@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .basis import (
+    _sigma_min_bound,
     _survey,
     _uncertainty_ok,
     audit_sparsity,
@@ -82,10 +83,14 @@ def _verify_checks(basis, tol):
     The eigenvector residuals and the uncertainty bounds both come from
     one product of the stacked unit rows with the reference DFT matrix
     (see _oracle_pass); they also bound every inner product across two
-    classes.  The rank is the count of singular values above tol of each
-    class's stacked unit rows, summed over the classes, which
-    cross-class-orthogonality certifies to be orthogonal; its detail gives
-    the smallest singular value, the check's margin.
+    classes.  The rank is summed over the classes, which
+    cross-class-orthogonality certifies to be orthogonal.  A class whose
+    Gram block (the one gram_report reads) passes the shifted-Cholesky
+    certificate at target 4*tol**2 (see basis._sigma_min_bound) has every
+    singular value at least 2*tol, so its rank is its row count; any other
+    class counts the singular values above tol of its stacked unit rows.
+    The detail gives the smallest singular value's lower bound, the check's
+    margin, and names each class that fell back to the SVD.
     """
     n = basis.n
     dims = multiplicities(n)
@@ -103,11 +108,22 @@ def _verify_checks(basis, tol):
         f"max {worst:.3e}",
     )
 
-    rows, ks = basis.dense_matrix(), basis.classes
-    blocks = [rows[ks == k] for k in range(4) if k in ks]
-    sv = np.concatenate([np.linalg.svd(block, compute_uv=False) for block in blocks])
-    rank = int(np.count_nonzero(sv > tol))
-    detail = f"rank {rank} of {n}, smallest singular value {sv.min():.3e}"
+    rank, smallest, fallback = 0, math.inf, []
+    for k, (pos, gram) in enumerate(basis._class_grams):
+        if not pos.size:
+            continue
+        bound = _sigma_min_bound(gram, n, 4 * tol * tol)
+        if bound is None:  # not certified: count the singular values above tol
+            sv = np.linalg.svd(basis.rows[pos], compute_uv=False)
+            rank += int(np.count_nonzero(sv > tol))
+            bound = float(sv.min())
+            fallback.append(str(k))
+        else:
+            rank += pos.size
+        smallest = min(smallest, bound)
+    detail = f"rank {rank} of {n}, smallest singular value at least {smallest:.3e}"
+    if fallback:
+        detail += f" (SVD in class{'es' if len(fallback) > 1 else ''} {', '.join(fallback)})"
     yield "independent-rank", rank == n, detail
 
     try:
@@ -130,6 +146,7 @@ def _verify_checks(basis, tol):
 
     # D is unitary: for unit u, v with D u = lam u + r_u, D v = mu v + r_v and
     # lam != mu, |<u, v>| <= (|r_u| + |r_v| + |r_u| |r_v|) / |lam - mu|
+    ks = basis.classes
     eps = {k: float(residuals[ks == k].max()) for k in set(ks.tolist())}
     bound = max(
         [(eps[k] + eps[l] + eps[k] * eps[l]) / abs(EIGENVALUES[k] - EIGENVALUES[l])

@@ -24,13 +24,17 @@ from dfteig import (
 )
 import dfteig.basis
 from dfteig.basis import (
+    _GATE_AT,
     _TIE_MARGIN,
     CONDITION_BOUND,
+    _cholesky_shift,
     _divisors,
     _first_fit,
+    _gram,
     _ill_conditioned,
     _orbit_blocks,
     _pivot_rows,
+    _sigma_min_bound,
     _uncertainty_ok,
     _unit_rows,
 )
@@ -309,6 +313,148 @@ def test_gated_block_classes_fall_back_to_dense_pivoting(monkeypatch, n, bound):
     labels = build_basis(n, tol).labels()
     assert labels == _expected_labels(n, tol)
     assert labels != unpatched
+
+
+# ---------------------------------------------------------------------------
+# the shifted-Cholesky certificate
+
+
+def _rows_with_spectrum(rng, lams, width):
+    """Rows U = Q diag(sqrt(lams)) W, so U U^H = Q diag(lams) Q^H; also its exact lambda_min.
+
+    lambda_min is that of the rows as stored, from their singular values,
+    which the SVD returns to within a few eps times the largest.
+    """
+    m = len(lams)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    w, _ = np.linalg.qr(rng.standard_normal((width, m)) + 1j * rng.standard_normal((width, m)))
+    rows = (q * np.sqrt(lams)) @ w.conj().T
+    return rows, float(np.linalg.svd(rows, compute_uv=False)[-1]) ** 2
+
+
+CERTIFY_CASES = [(m, width, target) for m, width in [(1, 1), (2, 7), (9, 9), (30, 64), (80, 200)]
+                 for target in (4 * DEFAULT_TOL**2, m / CONDITION_BOUND**2, 1e-6)]
+
+
+@pytest.mark.parametrize("m, width, target", CERTIFY_CASES)
+def test_sigma_min_bound_is_sound_on_perturbed_grams(m, width, target):
+    # lambda_min placed around the target and the shift, and the Gram then
+    # perturbed by Hermitian noise around the shift: whatever the outcome, a
+    # returned bound never exceeds the exact smallest singular value
+    rng = np.random.default_rng(m * 1000 + width)
+    shift = _cholesky_shift(np.eye(m), width, target)  # the largest any of these Grams takes
+    certified = 0
+    for trial in range(40):
+        lams = np.logspace(0, -3, m)
+        lams[-1] = shift * rng.choice([0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 4.0])
+        lams[-1] = max(lams[-1], target * rng.choice([0.5, 0.99, 1.01]))
+        rows, lam_min = _rows_with_spectrum(rng, np.sort(lams)[::-1], width)
+        gram = _gram(rows)
+        noise = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        noise = (noise + noise.conj().T) * (shift * rng.choice([0.0, 0.1, 1.0]) / (2 * m))
+        bound = _sigma_min_bound(gram, width, target)
+        if bound is not None:
+            certified += 1
+            assert bound == math.sqrt(target)
+            assert lam_min >= bound**2
+        perturbed = gram + noise
+        bound = _sigma_min_bound(perturbed, width, target)
+        if bound is not None:
+            assert np.linalg.eigvalsh(perturbed)[0] >= bound**2
+    assert certified  # the cases are not all refusals
+
+
+@pytest.mark.parametrize("m, width, target", CERTIFY_CASES)
+def test_sigma_min_bound_succeeds_from_twice_the_shift(m, width, target):
+    # a Gram's largest diagonal entry is at most its largest eigenvalue, 1
+    # here, so the shift of the identity is at least any of theirs
+    rng = np.random.default_rng(m + width)
+    for factor in (2.2, 3.0, 100.0):
+        lams = np.logspace(0, -3, m)
+        lams[-1] = factor * _cholesky_shift(np.eye(m), width, target)
+        rows, lam_min = _rows_with_spectrum(rng, np.sort(lams)[::-1], width)
+        gram = _gram(rows)
+        assert lam_min >= 2 * _cholesky_shift(gram, width, target)
+        assert _sigma_min_bound(gram, width, target) == math.sqrt(target)
+
+
+@pytest.mark.parametrize("m, width, target", CERTIFY_CASES)
+def test_sigma_min_bound_refuses_below_the_target(m, width, target):
+    rng = np.random.default_rng(m * width)
+    for factor in (0.0, 0.5, 0.99):
+        lams = np.logspace(0, -3, m)
+        lams[-1] = factor * target
+        rows, lam_min = _rows_with_spectrum(rng, np.sort(lams)[::-1], width)
+        assert lam_min < target
+        assert _sigma_min_bound(_gram(rows), width, target) is None
+
+
+@pytest.mark.parametrize("m, width", [(2, 2), (5, 40), (64, 64), (200, 257)])
+def test_sigma_min_bound_refuses_a_repeated_row(m, width):
+    rng = np.random.default_rng(m)
+    rows = _normalized(rng.standard_normal((m, width)) + 1j * rng.standard_normal((m, width)))
+    rows[m // 2] = rows[m // 3]
+    for target in (4 * DEFAULT_TOL**2, m / CONDITION_BOUND**2):
+        assert _sigma_min_bound(_gram(rows), width, target) is None
+
+
+def test_sigma_min_bound_refuses_non_finite_grams():
+    gram = np.eye(3, dtype=complex)
+    for value in (np.nan, np.inf):
+        for where in ((0, 0), (2, 1)):
+            bad = gram.copy()
+            bad[where] = value
+            assert _sigma_min_bound(bad, 3, 4 * DEFAULT_TOL**2) is None
+
+
+@pytest.mark.parametrize("n", range(2, 129))
+def test_certified_prefix_is_what_first_fit_keeps(n):
+    # wherever the prefix certificate holds, first fit keeps exactly the
+    # prefix and the gate passes
+    eta = eta_pair(n)
+    if math.gcd(eta.eta1, eta.eta2) > 1:
+        return
+    a, b = np.divmod(np.arange(n), eta.eta2)
+    mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)
+    tol = DEFAULT_TOL
+    for k, m in enumerate(multiplicities(n)):
+        units, norms = _unit_rows(n, k)
+        pool = np.flatnonzero((norms > tol) & (mirror >= np.arange(n)))
+        if not m or pool.size < m:
+            continue
+        target = max(m / CONDITION_BOUND**2, 4 * tol * tol)
+        if _sigma_min_bound(_gram(units[pool[:m]]), n, target) is not None:
+            assert _first_fit(units, pool, m, tol) == list(range(m))
+            sv = np.linalg.svd(units[pool[:m]], compute_uv=False)
+            assert sv[0] <= CONDITION_BOUND * sv[-1]
+
+
+def test_first_fit_stops_at_the_early_gate():
+    # class 2 at the prime 1009 (252 rows): first fit stops once the rows it
+    # has kept fail the gate, short of the multiplicity
+    n, k, tol = 1009, 2, DEFAULT_TOL
+    units, norms = _unit_rows(n, k)
+    pool = np.flatnonzero(norms > tol)
+    count = multiplicities(n)[k]
+    kept = _first_fit(units, pool, count, tol)
+    assert len(kept) in _GATE_AT and len(kept) < count
+    sv = np.linalg.svd(units[pool[kept]], compute_uv=False)
+    assert sv[0] > CONDITION_BOUND * sv[-1]
+
+
+def _no_certificate(gram, width, target):
+    return None
+
+
+@pytest.mark.parametrize("n", [*range(1, 129), 240, 257])
+def test_build_without_certificates_is_the_same(monkeypatch, n):
+    # every class a certificate settles, as a prefix or at the gate, first fit
+    # and the SVD gate settle alike
+    basis = build_basis(n)
+    monkeypatch.setattr(dfteig.basis, "_sigma_min_bound", _no_certificate)
+    fallback = build_basis(n)
+    assert fallback.labels() == basis.labels()
+    assert np.array_equal(fallback.scale, basis.scale)
 
 
 @pytest.mark.parametrize("n", [9, 16, 27, 54, 96, 108, 128, 225])

@@ -22,6 +22,7 @@ from dfteig import (
     verify_eigenvector,
     write_vector,
 )
+from dfteig.basis import _sigma_min_bound
 from dfteig.cli import _oracle_pass, _verify_checks, entrypoint, main
 from dfteig.projection import EIGENVALUES
 
@@ -367,6 +368,73 @@ def test_rank_check_matches_cgs2(n, tol):
     ok, detail = _rank_check(basis, tol)
     assert ok == (rank == n)
     assert detail.startswith(f"rank {rank} of {n}, smallest singular value ")
+
+
+def _no_certificate(gram, width, target):
+    return None
+
+
+def _verdicts(basis, tol=DEFAULT_TOL):
+    return [(name, ok) for name, ok, _ in _verify_checks(basis, tol)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 129), 240, 257])
+def test_verify_without_certificates_gives_the_same_verdicts(monkeypatch, n):
+    basis = build_basis(n)
+    certified = _verdicts(basis)
+    monkeypatch.setattr("dfteig.cli._sigma_min_bound", _no_certificate)
+    assert _verdicts(dataclasses.replace(basis)) == certified  # a fresh cache
+
+
+@pytest.mark.parametrize("edit", ["missing", "repeated"])
+def test_verify_files_without_certificates_give_the_same_output(tmp_path, monkeypatch, capsys, edit):
+    path = _built(tmp_path, "json")
+    payload = json.loads(path.read_text())
+    if edit == "missing":
+        del payload["vectors"][3]
+    else:
+        payload["vectors"][4] = dict(payload["vectors"][3])
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()  # drop the build's output
+    assert main(["verify", "--input", str(path)]) == 1
+    certified = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr("dfteig.cli._sigma_min_bound", _no_certificate)
+    assert main(["verify", "--input", str(path)]) == 1
+    fallback = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in fallback] == [line.split()[:2] for line in certified]
+    assert "(SVD in classes 0, 1, 2, 3)" in "\n".join(fallback)
+
+
+@pytest.mark.parametrize("n", [*range(2, 129, 7), 240, 257, 276])
+def test_rank_detail_bound_is_below_the_smallest_singular_value(n):
+    basis = build_basis(n)
+    ok, detail = _rank_check(basis)
+    assert ok and "SVD" not in detail
+    bound = float(detail.split("at least ")[1])
+    rows = basis.dense_matrix()
+    smallest = min(
+        np.linalg.svd(rows[basis.classes == k], compute_uv=False).min()
+        for k in set(basis.classes.tolist())
+    )
+    assert bound == pytest.approx(2 * DEFAULT_TOL, rel=1e-3) and bound <= smallest
+
+
+def test_rank_detail_names_the_class_that_fell_back(monkeypatch):
+    calls = []
+
+    def second_refused(gram, width, target):
+        calls.append(len(gram))
+        return None if len(calls) == 2 else _sigma_min_bound(gram, width, target)
+
+    monkeypatch.setattr("dfteig.cli._sigma_min_bound", second_refused)
+    basis = build_basis(61)
+    ok, detail = _rank_check(basis)
+    assert ok and len(calls) == 4
+    sv = np.linalg.svd(basis.dense_matrix()[basis.classes == 1], compute_uv=False)
+    assert detail == (
+        f"rank 61 of 61, smallest singular value at least {min(2 * DEFAULT_TOL, sv.min()):.3e} "
+        "(SVD in class 1)"
+    )
 
 
 @pytest.mark.parametrize("n", [*range(1, 129), 240, 257])
