@@ -12,29 +12,29 @@ class whose condition number exceeds CONDITION_BOUND is re-selected from
 its pool by max-residual pivoting, run as pivoted Cholesky on the pool's
 Gram; the support bounds hold for every candidate, so they are unaffected.
 
-Selection takes one of two paths, chosen by c = gcd(eta1, eta2).  For
-c = 1 each class's n candidates are densified as one (n, n) array from
-the closed-form projection recipe, the four classes sharing one gather of
-the DFT powers.  A shifted Cholesky of the Gram of the class's first m
-pool rows, m its multiplicity, can prove their smallest singular value
-large enough that first fit would keep exactly them and the gate would
-pass (see _sigma_min_bound); then neither runs.  Otherwise first fit runs
-as block CGS2, and checks the gate early, on the rows it has kept when it
-has kept 64, 128 and 256, since dropping rows cannot raise a condition
-number.  The dense gate, early or final, is itself a shifted Cholesky
-first, and only rows it cannot certify take the SVD.  For c > 1 the
-candidates are written in the orthonormal stride-eta1 train basis instead,
-where each class splits into mutually orthogonal orbit blocks of at most
-4n/c**2 coordinates: first fit runs, batched, on all blocks of one orbit
-size at once, the gate reads the class's condition number off the union
-of its blocks' singular values, and only a class the gate fails is
-densified for pivoting.  Neither the pool, the blocking nor the orbit
-blocks change a label: a later mirror never extends the rank and always
-loses the pivoting tie to its partner, and a candidate extends the rank
-of its class exactly when it extends the rank of its block.  The audits
-certify the support bounds, the eigenvalue multiplicities, the
-support/spectrum uncertainty constraints, and the orthogonality
-classification.
+Each class is decided once, by that one rule.  Where c = gcd(eta1, eta2)
+exceeds 1 the orbit blocks decide the classes they can: the candidates
+are written in the orthonormal stride-eta1 train basis, where each class
+splits into mutually orthogonal orbit blocks of at most 4n/c**2
+coordinates, first fit runs, batched, on all blocks of one orbit size at
+once, and the gate reads the class's condition number off the union of
+its blocks' singular values.  Every other class, all four at c = 1 and
+each one whose gate fired in the blocks, is densified once as an (n, n)
+array from the closed-form projection recipe.  At c = 1 first fit runs
+on that array (_first_fit) and either keeps its rows or returns None: a
+shifted Cholesky of the Gram of the class's first m pool rows, m its
+multiplicity, can prove them what first fit keeps and the gate passes
+(see _sigma_min_bound); otherwise it scans as block CGS2 and checks the
+gate at 64, 128, 256 and m kept rows, since dropping rows cannot raise a
+condition number, and each gate is itself a shifted Cholesky first, only
+rows it cannot certify taking the SVD.  A class first fit returns None
+for, or whose gate fired in the blocks, is pivoted.  Neither the pool,
+the blocking nor the orbit blocks change a label: a later mirror never
+extends the rank and always loses the pivoting tie to its partner, and a
+candidate extends the rank of its class exactly when it extends the rank
+of its block.  The audits certify the support bounds, the eigenvalue
+multiplicities, the support/spectrum uncertainty constraints, and the
+orthogonality classification.
 
 A basis is a set of arrays in vector order: each vector's class,
 position a*eta2 + b, scale and support, and one (n, n) array of unit rows,
@@ -62,6 +62,7 @@ from .numerics import (
     naive_dft,
 )
 from .projection import (
+    _BLOCK,
     _CHARACTERS,
     TrainSum,
     _class_rows,
@@ -78,8 +79,6 @@ CONDITION_BOUND = 1e6
 # Pivot residuals within this relative margin of the largest count as tied,
 # so rounding in the last bits cannot decide which label is taken.
 _TIE_MARGIN = 1e-9
-# Pool rows per block of first fit and of the pivoting Gram.
-_BLOCK = 64
 # Kept-row counts at which first fit on a dense class checks the gate early.
 _GATE_AT = (64, 128, 256)
 
@@ -325,25 +324,47 @@ def _ill_conditioned(units: np.ndarray) -> bool:
     return bool(sv[0] > CONDITION_BOUND * sv[-1])
 
 
-def _first_fit(units: np.ndarray, pool: np.ndarray, count: int, tol: float) -> list[int]:
-    """Indices into `pool` of its first `count` rows that extend the rank.
+def _first_fit(
+    units: np.ndarray, pool: np.ndarray, count: int, tol: float
+) -> Optional[list[int]]:
+    """Indices into `pool` of its first `count` rows that extend the rank, or None.
 
-    Block CGS2: each block of _BLOCK pool rows has the pivots accepted
-    before it projected out twice, as two matrix products per pass.  Each
-    row of the block is then measured against the pivots accepted inside
-    the block, again twice, and is accepted iff its residual norm exceeds
-    tol times its own norm; its normalized residual becomes a pivot.
+    None when those rows fail the condition gate, their 2-norm condition
+    number above CONDITION_BOUND (see _ill_conditioned), or when the pool
+    runs out short of `count`: either way the class is to be pivoted.
 
-    Early gate: when it has kept _GATE_AT rows, and has more to find, it
-    checks the rows kept so far (see _ill_conditioned) and stops, short of
-    `count`, if their condition number exceeds CONDITION_BOUND.  First fit
-    keeps rows in scan order, so they are a subset of its result, and
-    dropping rows cannot raise a condition number (Cauchy interlacing on
-    the Gram): the gate on the whole result would fire too.
+    Certified prefix: the first `count` pool rows are returned outright when
+    a shifted Cholesky of their Gram (see _sigma_min_bound) proves
+    sigma_min**2 >= max(count / CONDITION_BOUND**2, 4*tol**2).  Every
+    successive residual then exceeds 2*tol, so the scan would keep exactly
+    them, and count unit rows have sigma_max**2 <= count, so the gate would
+    pass.  The first min(count, 2*_BLOCK) rows are certified first: a
+    leading block of G - s*I that is not positive definite means G - s*I is
+    not either, so a prefix that fails there takes no Gram of all `count`
+    rows, and a failed screen only sends the class to the scan.  At the
+    primes 2039 and 3001 every class's 128 leading rows fail, while 64 still
+    pass in 3 and 4 classes of 4.
+
+    Otherwise the scan, as block CGS2: each block of _BLOCK pool rows has
+    the pivots accepted before it projected out twice, as two matrix
+    products per pass.  Each row of the block is then measured against the
+    pivots accepted inside the block, again twice, and is accepted iff its
+    residual norm exceeds tol times its own norm; its normalized residual
+    becomes a pivot.  The gate is checked on the rows kept so far when it
+    has kept _GATE_AT rows, and at `count`.  First fit keeps rows in scan
+    order, so the early ones are a subset of its result, and dropping rows
+    cannot raise a condition number (Cauchy interlacing on the Gram): when
+    the gate fires early, it would fire on the whole result too.
     """
-    kept: list[int] = []
     if not count:
-        return kept
+        return []
+    target = max(count / CONDITION_BOUND**2, 4 * tol * tol)
+    if pool.size >= count and all(
+        _sigma_min_bound(_gram(units[pool[:m]]), units.shape[1], target) is not None
+        for m in sorted({min(count, 2 * _BLOCK), count})
+    ):
+        return list(range(count))
+    kept: list[int] = []
     pivots = np.empty((count, units.shape[1]), dtype=np.complex128)
     conj = np.empty_like(pivots)  # conjugated pivots, so coefficients are plain products
     for start in range(0, pool.size, _BLOCK):
@@ -365,12 +386,12 @@ def _first_fit(units: np.ndarray, pool: np.ndarray, count: int, tol: float) -> l
                 np.divide(r, norm, out=pivots[rank])
                 np.conjugate(pivots[rank], out=conj[rank])
                 kept.append(start + i)
-                if rank + 1 == count:
-                    return kept
-                if rank + 1 in _GATE_AT and _ill_conditioned(units[pool[kept]]):
+                if len(kept) in (*_GATE_AT, count) and _ill_conditioned(units[pool[kept]]):
+                    return None
+                if len(kept) == count:
                     return kept
                 q, qc = pivots[before:rank + 1], conj[before:rank + 1]
-    return kept
+    return None
 
 
 def _pivot_rows(units: np.ndarray, count: int, tol: float) -> list[int]:
@@ -457,9 +478,12 @@ def _stacked_first_fit(stack: np.ndarray, counts: np.ndarray, tol: float) -> np.
     every pool is full.  The stack is overwritten with the pivots.
 
     Called with a whole class as its one pool it keeps the same rows, but
-    its batched steps cost about twice _first_fit's per row below n = 250,
-    which made the certify workload (n = 2..128, 99 of them c = 1) 8%
-    slower; so the dense path keeps _first_fit.
+    slower: on the 119 c = 1 classes up to n = 128 that no certified prefix
+    settles, it took 0.050-0.051 s against 0.026-0.027 s for _first_fit's
+    scan (one BLAS thread), about 4% of a 0.57 s certify pass (build then
+    verify, n = 2..128, in one process).  Merged, it would also have to
+    branch on the early gate, which only the dense path takes; so the dense
+    path keeps _first_fit.
     """
     limits = tol * np.sqrt(_squared_norms(stack))
     accepted = np.zeros(limits.shape, dtype=bool)
@@ -490,7 +514,7 @@ def _stacked_first_fit(stack: np.ndarray, counts: np.ndarray, tol: float) -> np.
     return accepted
 
 
-def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: float):
+def _select_in_blocks(eta: DivisorPair, first: np.ndarray, tol: float):
     """First fit in stride-eta1 train coordinates, block by block.
 
     Each class's candidates are written in the orthonormal stride-eta1 train
@@ -504,10 +528,12 @@ def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: float):
     multiplicity.  All blocks of one orbit size run as one stack (see
     _stacked_first_fit), in all four classes at once unless their rows would
     outnumber one (n, n) class array's entries (at c = 3 they hold 1.6
-    times as many), and then in passes of fewer classes.  Their kept
-    unit rows take one batched SVD per pass.  Returns per class the kept
-    positions in scan order and the condition number of its kept rows, and
-    the number of vanishing candidates.
+    times as many), and then in passes of fewer classes.  `first` marks the
+    positions that may enter a pool, the earlier of each mirror pair.  The
+    kept unit rows take one batched SVD per pass, and the gate reads each
+    class's condition number off the union of its blocks' singular values.
+    Returns per class the kept positions in scan order, or None where the
+    gate fires, and the number of vanishing candidates.
     """
     n = eta.n
     coordinates = _power_coordinates(n)
@@ -533,7 +559,7 @@ def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: float):
             nonzero = scale > tol
             zeros += int(nonzero.size - np.count_nonzero(nonzero))
             units /= np.where(nonzero, scale, 1.0)[..., None]
-            pool = nonzero & (mirror[members] >= members)
+            pool = nonzero & first[members]
             # each block's pool rows first, in scan order, then zero padding
             slots = np.argsort(~pool, axis=-1, kind="stable")[..., : pool.sum(-1).max()]
             stack = np.take_along_axis(units, slots[..., None], 2)
@@ -544,9 +570,9 @@ def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: float):
             rank = accepted.sum(-1)
             # each block's kept rows first, then zero rows, which only add zero
             # singular values after the block's rank-th
-            first = np.argsort(~accepted, axis=-1, kind="stable")[..., : rank.max()]
-            rows = np.take_along_axis(slots, first, -1)
-            held = np.take_along_axis(accepted, first, -1)
+            order = np.argsort(~accepted, axis=-1, kind="stable")[..., : rank.max()]
+            rows = np.take_along_axis(slots, order, -1)
+            held = np.take_along_axis(accepted, order, -1)
             sv = np.linalg.svd(
                 np.take_along_axis(units, rows[..., None], 2) * held[..., None], compute_uv=False
             )
@@ -557,7 +583,9 @@ def _select_in_blocks(eta: DivisorPair, mirror: np.ndarray, tol: float):
             bottom[ks] = np.minimum(bottom[ks], np.where(used, low, np.inf).min(axis=1))
             for k, k_held, k_rows in zip(ks, held, rows):
                 kept[k].append(members[np.nonzero(k_held)[0], k_rows[k_held]])
-    return [np.sort(np.concatenate(part)) for part in kept], top / bottom, zeros
+    gated = top / bottom > CONDITION_BOUND
+    return [None if gate else np.sort(np.concatenate(part))
+            for gate, part in zip(gated, kept)], zeros
 
 
 def _unit_rows(n: int, k, select=None, *, gathers=None):
@@ -582,42 +610,33 @@ def build_basis(n: int, tol: float = DEFAULT_TOL) -> EigenBasis:
     D**2 reverses a train, so P_k g(-a, -b) is a unit multiple of
     P_k g(a, b): of each such mirror pair only the earlier candidate enters
     its class's pool.  First fit would reject the later one, and pivoting
-    would find the two tied and take the earlier.  First fit keeps each pool
-    row, in scan order, that extends the rank of its class, up to the
-    class's known multiplicity.  It guarantees exact independence but no
-    margin: at prime n its rows can be numerically singular.  So a class
-    whose unit rows have a 2-norm condition number above CONDITION_BOUND is
-    re-selected from its pool by max-residual pivoting, run as pivoted
-    Cholesky on the pool's Gram (see _pivot_rows), ties going to the earliest
-    candidate.
+    would find the two tied and take the earlier.  Each class is decided
+    once, by one rule: first fit keeps each pool row, in scan order, that
+    extends the rank of its class, up to the class's known multiplicity m.
+    It guarantees exact independence but no margin: at prime n its rows can
+    be numerically singular.  So a class whose unit rows have a 2-norm
+    condition number above CONDITION_BOUND is re-selected from its pool by
+    max-residual pivoting, run as pivoted Cholesky on the pool's Gram (see
+    _pivot_rows), ties going to the earliest candidate.
 
-    The path follows c = gcd(eta1, eta2).  For c = 1 each class is
-    densified as one (n, n) array (the DFT powers' supports and roots are
-    gathered once for all four classes).  Its first m pool rows, m the
-    multiplicity, are kept outright when a shifted Cholesky of their Gram
-    (see _sigma_min_bound) proves sigma_min**2 >= max(m / CONDITION_BOUND**2,
-    4*tol**2): every successive residual then exceeds 2*tol, so first fit
-    keeps exactly that prefix, and sigma_max**2 <= m bounds the condition
-    number by CONDITION_BOUND, so the gate passes.  Otherwise first fit runs
-    on the class as block CGS2 (see _first_fit), and the gate checks the
-    kept rows: a shifted Cholesky of their Gram that proves
-    sigma_min**2 >= m / CONDITION_BOUND**2 passes them, and only rows it
-    cannot certify take the SVD (see _ill_conditioned).  First fit stops
-    early when the rows it has kept at 64, 128 or 256 already fail the
-    gate, and a class it leaves short of m is pivoted.
-    For c > 1 no class is densified: each candidate is written in
-    stride-eta1 train coordinates, where the class splits into mutually
-    orthogonal orbit blocks of at most 4n/c**2 coordinates (see
-    _select_in_blocks).  First fit runs over all blocks of one orbit size
-    at once (see _stacked_first_fit), and the gate reads the condition
-    number off the union of the blocks' singular values.  A class that
-    fails the gate there is densified and pivoted as on the other path.
-    Either path yields only the kept positions of each class; once its
-    arrays are freed, _unit_rows densifies the kept labels, all four
-    classes in one call, in vector order (class, then scan order), as it
-    densifies each class array, so a kept row is bitwise its row there.
-    Raises if any class misses its multiplicity, which would indicate a bug
-    rather than bad input.
+    When c = gcd(eta1, eta2) > 1 the orbit blocks decide the classes they
+    can: each candidate is written in stride-eta1 train coordinates, where
+    the class splits into mutually orthogonal orbit blocks of at most
+    4n/c**2 coordinates, first fit runs over all blocks of one orbit size at
+    once, and the gate reads the condition number off the union of the
+    blocks' singular values (see _select_in_blocks).  Every other class, all
+    four at c = 1 and those whose gate fired at c > 1, is densified once as
+    an (n, n) array, the DFT powers' supports and roots gathered once for
+    all of them.  At c = 1 first fit runs on it (see _first_fit): it proves
+    its first m pool rows well conditioned by a shifted Cholesky, or scans
+    the pool as block CGS2 and checks the gate at 64, 128, 256 and m kept
+    rows, and returns the rows only if they pass.  A class it returns None
+    for, and a class whose gate fired in the blocks, is pivoted.  Then,
+    once the class arrays are freed, _unit_rows densifies the kept labels,
+    all four classes in one call, in vector order (class, then scan order),
+    as it densifies each class array, so a kept row is bitwise its row
+    there.  Raises if any class misses its multiplicity, which would
+    indicate a bug rather than bad input.
     """
     check_tol(tol)
     eta = eta_pair(n)
@@ -626,38 +645,20 @@ def build_basis(n: int, tol: float = DEFAULT_TOL) -> EigenBasis:
     a, b = np.divmod(position, eta.eta2)
     mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)
     first = mirror >= position  # the earlier candidate of each mirror pair
-    if math.gcd(eta.eta1, eta.eta2) > 1:
-        kept, condition, zeros = _select_in_blocks(eta, mirror, tol)
-        gated = np.flatnonzero(condition > CONDITION_BOUND).tolist()
-        gathers = _power_gathers(n) if gated else None
-        for k in gated:
-            units, norms = _unit_rows(n, k, gathers=gathers)
-            pool = np.flatnonzero((norms > tol) & first)
-            kept[k] = pool[_pivot_rows(units[pool], dims[k], tol)]
-            del units  # freed before the next class is densified
-    else:
-        kept, zeros = [], 0
-        gathers = _power_gathers(n)
-        for k in range(4):
-            units, norms = _unit_rows(n, k, gathers=gathers)
-            nonzero = norms > tol
+    blocked = math.gcd(eta.eta1, eta.eta2) > 1
+    kept, zeros = _select_in_blocks(eta, first, tol) if blocked else ([None] * 4, 0)
+    dense = [k for k, fit in enumerate(kept) if fit is None]
+    gathers = _power_gathers(n) if dense else None
+    for k in dense:
+        units, norms = _unit_rows(n, k, gathers=gathers)
+        nonzero = norms > tol
+        pool = np.flatnonzero(nonzero & first)
+        fit = None  # at c > 1 the blocks ran first fit, and the gate fired
+        if not blocked:
             zeros += n - int(np.count_nonzero(nonzero))
-            pool = np.flatnonzero(nonzero & first)
-            m = dims[k]
-            # a prefix certified at target passes the gate (m unit rows have
-            # sigma_max**2 <= m), and each of its residuals exceeds 2*tol
-            target = max(m / CONDITION_BOUND**2, 4 * tol * tol)
-            prefix = pool[:m]
-            if prefix.size == m > 0 and (
-                _sigma_min_bound(_gram(units[prefix]), n, target) is not None
-            ):
-                fit = prefix  # what first fit keeps, and the gate passes
-            else:
-                fit = pool[_first_fit(units, pool, m, tol)]
-                if fit.size < m or (m and _ill_conditioned(units[fit])):
-                    fit = pool[_pivot_rows(units[pool], m, tol)]
-            kept.append(fit)
-            del units  # freed before the next class is densified
+            fit = _first_fit(units, pool, dims[k], tol)
+        kept[k] = pool[_pivot_rows(units[pool], dims[k], tol) if fit is None else fit]
+        del units  # freed before the next class is densified
     del gathers  # freed before the kept rows are densified
     for k, fit in enumerate(kept):
         if fit.size != dims[k]:

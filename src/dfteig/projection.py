@@ -40,6 +40,10 @@ EIGENVALUES = (1 + 0j, -1j, -1 + 0j, 1j)
 # _CHARACTERS[k, j] = i**(j*k) / 4, so that P_k = sum_j _CHARACTERS[k, j] * D**j
 _CHARACTERS = 0.25 * np.array([[1j ** (j * k % 4) for j in range(4)] for k in range(4)])
 _CHARACTERS.setflags(write=False)
+# Rows per block wherever rows are worked on in blocks to bound temporaries and
+# batch products: the stride-1 scatter here, and the norms, first fit and
+# pivoting Gram of the basis builder.
+_BLOCK = 64
 
 
 def eigenvalue_of(k: int) -> complex:
@@ -213,8 +217,9 @@ def _class_rows(n: int, k, select=None, *, gathers=None) -> np.ndarray:
     for j, (t, root, phase, d) in enumerate(gathers):
         weight = (characters[:, j, None] / math.sqrt(d)) * phase
         if d == n:  # stride 1, as at prime n: every row's support is 0..n-1
-            for start in range(0, size, 64):  # in row blocks: no (n, n) temporary
-                rows[start:start + 64] += weight[start:start + 64] * root[start:start + 64]
+            for start in range(0, size, _BLOCK):  # in row blocks: no (n, n) temporary
+                block = slice(start, start + _BLOCK)
+                rows[block] += weight[block] * root[block]
         else:  # positions within one row are distinct, so buffered += is exact
             rows[labels, t] += weight * root
     return rows

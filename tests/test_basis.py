@@ -34,6 +34,7 @@ from dfteig.basis import (
     _ill_conditioned,
     _orbit_blocks,
     _pivot_rows,
+    _select_in_blocks,
     _sigma_min_bound,
     _uncertainty_ok,
     _unit_rows,
@@ -213,6 +214,13 @@ def _normalized(array):
     return array / np.linalg.norm(array, axis=1)[:, None]
 
 
+def _earlier_of_mirrors(n):
+    """The build's pool mask before norms: the earlier position of each mirror pair."""
+    eta = eta_pair(n)
+    a, b = np.divmod(np.arange(n), eta.eta2)
+    return (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2) >= np.arange(n)
+
+
 def test_pivot_rows_breaks_exact_ties_by_scan_order():
     # orthonormal rows: every residual stays tied with every other, so each
     # step takes the lowest position left
@@ -252,13 +260,10 @@ def test_pivot_rows_matches_the_reference_on_a_gated_class():
     # class 2 at the prime 1009: first fit fails the gate, and one pivot
     # step's runner-up sits 1.2e-9 relative below the tie band
     n, k, tol = 1009, 2, DEFAULT_TOL
-    eta = eta_pair(n)
-    a, b = np.divmod(np.arange(n), eta.eta2)
-    mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)
     units, norms = _unit_rows(n, k)
-    pool = np.flatnonzero((norms > tol) & (mirror >= np.arange(n)))
+    pool = np.flatnonzero((norms > tol) & _earlier_of_mirrors(n))
     count = multiplicities(n)[k]
-    assert _ill_conditioned(units[pool[_first_fit(units, pool, count, tol)]])
+    assert _first_fit(units, pool, count, tol) is None
     chosen = _pivot_rows(units[pool], count, tol)
     assert len(chosen) == count
     assert chosen == _reference_pivot_rows(units[pool], count, tol)
@@ -310,6 +315,9 @@ def test_gated_block_classes_fall_back_to_dense_pivoting(monkeypatch, n, bound):
     tol = DEFAULT_TOL
     unpatched = build_basis(n, tol).labels()
     monkeypatch.setattr(dfteig.basis, "CONDITION_BOUND", bound)
+    kept, _ = _select_in_blocks(eta_pair(n), _earlier_of_mirrors(n), tol)
+    gated = {108: [0, 1, 2, 3], 180: [1, 2], 120: [1, 3]}[n]
+    assert [k for k, fit in enumerate(kept) if fit is None] == gated
     labels = build_basis(n, tol).labels()
     assert labels == _expected_labels(n, tol)
     assert labels != unpatched
@@ -407,43 +415,105 @@ def test_sigma_min_bound_refuses_non_finite_grams():
             assert _sigma_min_bound(bad, 3, 4 * DEFAULT_TOL**2) is None
 
 
-@pytest.mark.parametrize("n", range(2, 129))
-def test_certified_prefix_is_what_first_fit_keeps(n):
-    # wherever the prefix certificate holds, first fit keeps exactly the
-    # prefix and the gate passes
+def _no_certificate(gram, width, target):
+    return None
+
+
+def _dense_classes(n, tol):
+    """Each class of a c = 1 size as the build densifies it: unit rows, pool, multiplicity."""
     eta = eta_pair(n)
     if math.gcd(eta.eta1, eta.eta2) > 1:
         return
-    a, b = np.divmod(np.arange(n), eta.eta2)
-    mirror = (-a % eta.eta1) * eta.eta2 + (-b % eta.eta2)
-    tol = DEFAULT_TOL
+    first = _earlier_of_mirrors(n)
     for k, m in enumerate(multiplicities(n)):
         units, norms = _unit_rows(n, k)
-        pool = np.flatnonzero((norms > tol) & (mirror >= np.arange(n)))
-        if not m or pool.size < m:
-            continue
+        yield units, np.flatnonzero((norms > tol) & first), m
+
+
+@pytest.mark.parametrize("n", range(2, 129))
+def test_certified_prefix_is_what_first_fit_keeps(monkeypatch, n):
+    # wherever the prefix certificate holds, first fit returns exactly the
+    # prefix and the gate passes; with no certificate at all, first fit
+    # scans and gates by SVD alone, and returns the same
+    tol = DEFAULT_TOL
+    for units, pool, m in _dense_classes(n, tol):
+        kept = _first_fit(units, pool, m, tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(dfteig.basis, "_sigma_min_bound", _no_certificate)
+            assert _first_fit(units, pool, m, tol) == kept
         target = max(m / CONDITION_BOUND**2, 4 * tol * tol)
-        if _sigma_min_bound(_gram(units[pool[:m]]), n, target) is not None:
-            assert _first_fit(units, pool, m, tol) == list(range(m))
-            sv = np.linalg.svd(units[pool[:m]], compute_uv=False)
+        prefix = pool[:m]
+        if m and prefix.size == m and _sigma_min_bound(_gram(units[prefix]), n, target) is not None:
+            assert kept == list(range(m))
+            sv = np.linalg.svd(units[prefix], compute_uv=False)
             assert sv[0] <= CONDITION_BOUND * sv[-1]
 
 
-def test_first_fit_stops_at_the_early_gate():
-    # class 2 at the prime 1009 (252 rows): first fit stops once the rows it
-    # has kept fail the gate, short of the multiplicity
+@pytest.mark.parametrize("n", [*range(2, 301), 1009])
+def test_first_fit_is_the_reference_rows_or_none(n):
+    # first fit returns None exactly when the sequential reference comes up
+    # short of the multiplicity or its rows fail the SVD gate, and otherwise
+    # the reference's rows
+    tol = DEFAULT_TOL
+    for units, pool, m in _dense_classes(n, tol):
+        reference = _reference_first_fit(units, pool, m, tol)
+        sv = np.linalg.svd(units[reference], compute_uv=False) if reference else None
+        fails = len(reference) < m or (m > 0 and sv[0] > CONDITION_BOUND * sv[-1])
+        kept = _first_fit(units, pool, m, tol)
+        assert (kept is None) == fails
+        if kept is not None:
+            assert pool[kept].tolist() == reference
+
+
+def test_first_fit_stops_at_the_early_gate(monkeypatch):
+    # class 2 at the prime 1009 (252 rows): first fit gives up once the rows
+    # it has kept fail the gate, short of the multiplicity
     n, k, tol = 1009, 2, DEFAULT_TOL
     units, norms = _unit_rows(n, k)
     pool = np.flatnonzero(norms > tol)
     count = multiplicities(n)[k]
-    kept = _first_fit(units, pool, count, tol)
-    assert len(kept) in _GATE_AT and len(kept) < count
-    sv = np.linalg.svd(units[pool[kept]], compute_uv=False)
-    assert sv[0] > CONDITION_BOUND * sv[-1]
+    calls = []
+
+    def recording(rows):
+        calls.append((len(rows), _ill_conditioned(rows)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(dfteig.basis, "_ill_conditioned", recording)
+    assert _first_fit(units, pool, count, tol) is None
+    rows, fired = calls[-1]
+    assert fired and rows in _GATE_AT and rows < count
+    assert not any(fired for _, fired in calls[:-1])
 
 
-def _no_certificate(gram, width, target):
-    return None
+def test_prefix_screen_spares_the_whole_prefix_gram(monkeypatch):
+    # class 2 at the prime 1009: the prefix's leading 128 rows fail the
+    # certificate, so no Gram of all 252 prefix rows is formed; the scan's
+    # early gate then fires before it holds 252 rows
+    n, k, tol = 1009, 2, DEFAULT_TOL
+    units, norms = _unit_rows(n, k)
+    pool = np.flatnonzero((norms > tol) & _earlier_of_mirrors(n))
+    count = multiplicities(n)[k]
+    sizes = []
+
+    def recording(gram, width, target):
+        sizes.append(len(gram))
+        return _sigma_min_bound(gram, width, target)
+
+    monkeypatch.setattr(dfteig.basis, "_sigma_min_bound", recording)
+    assert _first_fit(units, pool, count, tol) is None
+    assert sizes[0] == 128 < count
+    assert count not in sizes
+
+
+def test_first_fit_gives_up_when_the_pool_runs_out():
+    # three distinct unit rows, each twice: the scan keeps rows 0, 1 and 3,
+    # which is all three asked for, but short of five
+    rng = np.random.default_rng(1)
+    distinct = _normalized(rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)))
+    units = distinct[[0, 1, 0, 2, 1, 2]]
+    pool = np.arange(6)
+    assert _first_fit(units, pool, 3, DEFAULT_TOL) == [0, 1, 3]
+    assert _first_fit(units, pool, 5, DEFAULT_TOL) is None
 
 
 @pytest.mark.parametrize("n", [*range(1, 129), 240, 257])
