@@ -37,12 +37,13 @@ multiplicities, the support/spectrum uncertainty constraints, and the
 orthogonality classification.
 
 A basis is a set of arrays in vector order: each vector's class,
-position a*eta2 + b, scale and support, and one (n, n) array of unit rows,
-its dense_matrix().  _unit_rows turns labels into unit rows and norms,
-each row divided by its norm wherever that is above 0, for class arrays,
-kept rows and import alike; a pool takes only rows whose norm is above
-tol.  _assemble then counts the supports.  Records, class Gram blocks and
-their inverses are derived from the arrays on first read.
+position a*eta2 + b and scale, and one (n, n) array of unit rows, its
+dense_matrix(), plus the one tol it is read at.  _unit_rows turns labels
+into unit rows and norms, each row divided by its norm wherever that is
+above 0, for class arrays, kept rows and import alike; a pool takes only
+rows whose norm is above tol.  Supports, records, class Gram blocks, their
+inverses and the Gram report are derived from the arrays and tol on first
+read.
 """
 
 from __future__ import annotations
@@ -152,13 +153,18 @@ class BasisVectorRecord:
 
 @dataclass(eq=False)
 class EigenBasis:
-    """n selected eigenvectors as arrays in vector order; all else derived on first read.
+    """n selected eigenvectors as arrays in vector order, read at one tol; all else derived.
 
     Vector i is the unit projected train of class classes[i] and position
-    a*eta2 + b = positions[i], with raw norm scale[i] and support[i]
-    nonzeros; `rows` holds the unit rows and is the dense_matrix().  The
-    records, the class Gram blocks, their inverses and the flat labels are
-    cached properties, so the arrays of an assembled basis are read-only.
+    a*eta2 + b = positions[i], with raw norm scale[i]; `rows` holds the unit
+    rows and is the dense_matrix().  `tol` is the threshold the basis was
+    built at, and everything read at a threshold is read at it: the
+    supports, gram_report's classification and to_coefficients' stopping
+    rule.  Construction checks tol and makes the arrays read-only, since the
+    caches derived on first read (supports, records, flat labels, Gram
+    blocks, their inverses and the report) would not see a later write: an
+    edited basis, or one read at another tol, is a new one, made with
+    dataclasses.replace.
     """
 
     n: int
@@ -166,19 +172,29 @@ class EigenBasis:
     classes: np.ndarray  # intp
     positions: np.ndarray  # intp
     scale: np.ndarray
-    support: np.ndarray  # intp
     rows: np.ndarray
     zero_candidates: int = 0  # vanishing projections among all 4n candidates
+    tol: float = DEFAULT_TOL
+
+    def __post_init__(self):
+        check_tol(self.tol)
+        for array in (self.classes, self.positions, self.scale, self.rows):
+            array.flags.writeable = False
+
+    @functools.cached_property
+    def support(self) -> np.ndarray:
+        """Each unit row's nonzeros, its entries above tol, counted on first read; read-only."""
+        support = np.count_nonzero(np.abs(self.rows) > self.tol, axis=1)
+        support.flags.writeable = False
+        return support
 
     @functools.cached_property
     def vectors(self) -> list[BasisVectorRecord]:
         """The records, built on first read; each `dense` is a read-only view of its row."""
-        view = self.rows.view()
-        view.flags.writeable = False
         return [
             BasisVectorRecord(k=k, a=a, b=b, dense=row, support=s, scale=scale)
             for (k, a, b), row, s, scale in zip(
-                self.labels(), view, self.support.tolist(), self.scale.tolist()
+                self.labels(), self.rows, self.support.tolist(), self.scale.tolist()
             )
         ]
 
@@ -239,8 +255,24 @@ class EigenBasis:
         return solvers
 
     @functools.cached_property
-    def _reports(self) -> dict:  # gram_report's, by tolerance
-        return {}
+    def _report(self) -> GramReport:
+        """gram_report's classification at tol, from the pairs i < j within each class."""
+        pairs = []
+        for pos, g in self._class_grams:
+            iu, ju = np.triu_indices(len(pos), k=1)
+            pairs.append((pos[iu], pos[ju], g[iu, ju]))
+        i, j, vals = (np.concatenate(part) for part in zip(*pairs))
+        mods = np.abs(vals)
+        max_off = float(mods.max(initial=0.0))
+        usable = (mods > self.tol) & (mods < 1.0 - self.tol)
+        witness = None
+        if np.any(usable):
+            mods = np.where(usable, mods, -1.0)
+            tied = np.flatnonzero(mods >= mods.max() * (1.0 - _TIE_MARGIN))
+            first = tied[np.lexsort((j[tied], i[tied]))[0]]  # the first tied pair wins
+            labels = self.labels()
+            witness = (labels[i[first]], labels[j[first]], complex(vals[first]))
+        return GramReport(self.n, max_off <= self.tol, max_off, witness)
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
@@ -635,8 +667,9 @@ def build_basis(n: int, tol: float = DEFAULT_TOL) -> EigenBasis:
     once the class arrays are freed, _unit_rows densifies the kept labels,
     all four classes in one call, in vector order (class, then scan order),
     as it densifies each class array, so a kept row is bitwise its row
-    there.  Raises if any class misses its multiplicity, which would
-    indicate a bug rather than bad input.
+    there.  The basis carries tol, which its supports, gram_report and
+    to_coefficients read.  Raises if any class misses its multiplicity,
+    which would indicate a bug rather than bad input.
     """
     check_tol(tol)
     eta = eta_pair(n)
@@ -670,26 +703,9 @@ def build_basis(n: int, tol: float = DEFAULT_TOL) -> EigenBasis:
     classes = np.repeat(np.arange(4), dims)
     positions = np.concatenate(kept)
     rows, scales = _unit_rows(n, classes, positions)
-    return _assemble(eta, classes, positions, scales, rows, tol, zeros)
-
-
-def _assemble(
-    eta: DivisorPair, classes, positions, scales, rows, tol: float, zero_candidates
-) -> EigenBasis:
-    """The basis of the given per-vector arrays and unit rows, all in vector order.
-
-    The one assembly shared by build_basis and import: supports are counted
-    at tol in one pass, and `rows` is the basis's dense_matrix().  The
-    arrays are made read-only, since the caches derived from them (records,
-    flat labels, Gram blocks and their inverses, reports) would not see a
-    later write: an edited basis is a new one, assembled from edited copies.
-    """
-    support = np.count_nonzero(np.abs(rows) > tol, axis=1)
-    for array in (classes, positions, scales, support, rows):
-        array.flags.writeable = False
     return EigenBasis(
-        n=eta.n, eta=eta, classes=classes, positions=positions, scale=scales,
-        support=support, rows=rows, zero_candidates=zero_candidates,
+        n=n, eta=eta, classes=classes, positions=positions, scale=scales, rows=rows,
+        zero_candidates=zeros, tol=tol,
     )
 
 
@@ -798,39 +814,17 @@ class GramReport:
     witness: Optional[tuple[tuple[int, int, int], tuple[int, int, int], complex]]
 
 
-def gram_report(basis: EigenBasis, tol: float = DEFAULT_TOL) -> GramReport:
-    """Classify the basis from the pairs i < j within each class."""
-    check_tol(tol)
-    if tol not in basis._reports:
-        pairs = []
-        for pos, g in basis._class_grams:
-            iu, ju = np.triu_indices(len(pos), k=1)
-            pairs.append((pos[iu], pos[ju], g[iu, ju]))
-        i, j, vals = (np.concatenate(part) for part in zip(*pairs))
-        mods = np.abs(vals)
-        max_off = float(mods.max(initial=0.0))
-        usable = (mods > tol) & (mods < 1.0 - tol)
-        witness = None
-        if np.any(usable):
-            mods = np.where(usable, mods, -1.0)
-            tied = np.flatnonzero(mods >= mods.max() * (1.0 - _TIE_MARGIN))
-            first = tied[np.lexsort((j[tied], i[tied]))[0]]  # the first tied pair wins
-            labels = basis.labels()
-            witness = (labels[i[first]], labels[j[first]], complex(vals[first]))
-        orthogonal = max_off <= tol
-        basis._reports[tol] = GramReport(basis.n, orthogonal, max_off, witness)
-    return basis._reports[tol]
+def gram_report(basis: EigenBasis) -> GramReport:
+    """Classify the basis at basis.tol from the pairs i < j within each class.
 
-
-def _survey(max_n: int, tol: float) -> Iterator[tuple[EigenBasis, GramReport]]:
-    """Build and Gram-classify every dimension from 2 through max_n, in order."""
-    if max_n < 2:
-        raise ValueError("max_n must be at least 2")
-    for n in range(2, max_n + 1):
-        basis = build_basis(n, tol)
-        yield basis, gram_report(basis, tol)
+    The report is derived once per basis and cached; to read it at another
+    tol, classify dataclasses.replace(basis, tol=...).
+    """
+    return basis._report
 
 
 def orthogonality_survey(max_n: int, tol: float = DEFAULT_TOL) -> list[tuple[int, bool]]:
-    """Build and Gram-classify every dimension from 2 through max_n."""
-    return [(basis.n, report.is_orthogonal) for basis, report in _survey(max_n, tol)]
+    """Build every dimension from 2 through max_n at tol and Gram-classify it."""
+    if max_n < 2:
+        raise ValueError("max_n must be at least 2")
+    return [(n, gram_report(build_basis(n, tol)).is_orthogonal) for n in range(2, max_n + 1)]

@@ -7,6 +7,7 @@ Exit codes: 0 every requested check passed, 1 a certified claim failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -15,7 +16,6 @@ import numpy as np
 
 from .basis import (
     _sigma_min_bound,
-    _survey,
     _uncertainty_ok,
     audit_sparsity,
     build_basis,
@@ -28,6 +28,9 @@ from .numerics import DEFAULT_TOL, VerificationError, check_tol, dft_matrix
 from .projection import EIGENVALUES
 
 SPORADIC_ORTHOGONAL = {2, 3, 8}
+# Lower bounds on sigma_min**2 that verify tries to certify each class Gram at,
+# largest first, before 4*tol**2: the first one proven is the class's margin.
+_RANK_TARGETS = (1e-2, 1e-4, 1e-6, 1e-8)
 
 
 def _tol(text: str) -> float:
@@ -55,42 +58,45 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _oracle_pass(basis, tol):
+def _oracle_pass(basis):
     """Eigenvector residuals and uncertainty verdicts of every vector at once.
 
     One product of the stacked rows with the reference matrix dft_matrix(n),
-    which is symmetric, gives every row's transform; the results match
-    verify_eigenvector and check_uncertainty row by row.
+    which is symmetric, gives every row's transform, whose supports are
+    counted at basis.tol; the supports of the rows themselves are the
+    basis's own.  The results match verify_eigenvector and check_uncertainty
+    row by row.
     """
     mat = basis.dense_matrix()
     norms = np.linalg.norm(mat, axis=1)
-    if not np.all(norms > tol):
+    if not np.all(norms > basis.tol):
         raise ValueError("cannot classify a numerically zero vector")
     spectra = mat @ dft_matrix(basis.n)
-    # supports of the unit rows and of their transforms
-    limits = tol * norms[:, None]
-    supports = np.count_nonzero(np.abs(mat) > limits, axis=1)
-    spectral = np.count_nonzero(np.abs(spectra) > limits, axis=1)
-    verdicts = _uncertainty_ok(basis.n, supports, spectral)
+    spectral = np.count_nonzero(np.abs(spectra) > basis.tol * norms[:, None], axis=1)
+    verdicts = _uncertainty_ok(basis.n, basis.support, spectral)
     lams = np.array(EIGENVALUES)[basis.classes]
     spectra -= lams[:, None] * mat
     return np.linalg.norm(spectra, axis=1) / norms, verdicts
 
 
-def _verify_checks(basis, tol):
-    """Yield (name, passed, detail) for every certified claim.
+def _verify_checks(basis):
+    """Yield (name, passed, detail) for every certified claim, each at basis.tol.
 
     The eigenvector residuals and the uncertainty bounds both come from
     one product of the stacked unit rows with the reference DFT matrix
     (see _oracle_pass); they also bound every inner product across two
     classes.  The rank is summed over the classes, which
-    cross-class-orthogonality certifies to be orthogonal.  A class whose
-    Gram block (the one gram_report reads) passes the shifted-Cholesky
-    certificate at target 4*tol**2 (see basis._sigma_min_bound) has every
-    singular value at least 2*tol, so its rank is its row count; any other
-    class counts the singular values above tol of its stacked unit rows.
-    The detail gives the smallest singular value's lower bound, the check's
-    margin, and names each class that fell back to the SVD.
+    cross-class-orthogonality certifies to be orthogonal.  Each class's
+    Gram block (the one gram_report reads) is tried with the
+    shifted-Cholesky certificate (see basis._sigma_min_bound) at each of
+    _RANK_TARGETS and then at 4*tol**2, stopping at the first it passes: its
+    singular values are then all at least that target's root, at least
+    2*tol, so its rank is its row count.  A class certified at none counts
+    the singular values above tol of its stacked unit rows.  The detail
+    gives the smallest singular value's lower bound, the smallest root
+    certified or the smallest singular value of a class that fell back,
+    which is the check's margin, and names each class that fell back to the
+    SVD.
     """
     n = basis.n
     dims = multiplicities(n)
@@ -100,7 +106,8 @@ def _verify_checks(basis, tol):
         f"{basis.per_class_counts} vs table {dims}",
     )
 
-    residuals, verdicts = _oracle_pass(basis, tol)
+    tol = basis.tol
+    residuals, verdicts = _oracle_pass(basis)
     worst = float(residuals.max())
     yield (
         "eigenvector-residuals",
@@ -109,10 +116,11 @@ def _verify_checks(basis, tol):
     )
 
     rank, smallest, fallback = 0, math.inf, []
+    targets = (*_RANK_TARGETS, 4 * tol * tol)
     for k, (pos, gram) in enumerate(basis._class_grams):
         if not pos.size:
             continue
-        bound = _sigma_min_bound(gram, n, 4 * tol * tol)
+        bound = next(filter(None, (_sigma_min_bound(gram, n, t) for t in targets)), None)
         if bound is None:  # not certified: count the singular values above tol
             sv = np.linalg.svd(basis.rows[pos], compute_uv=False)
             rank += int(np.count_nonzero(sv > tol))
@@ -156,7 +164,7 @@ def _verify_checks(basis, tol):
     detail = f"bound {bound:.3e} from the eigenvector residuals"
     yield "cross-class-orthogonality", bound <= tol, detail
 
-    report = gram_report(basis, tol)
+    report = gram_report(basis)
     expected = _expected_orthogonal(n)
     if report.is_orthogonal:
         ok, detail = expected, f"orthogonal (max offdiag {report.max_offdiag:.3e})"
@@ -171,7 +179,7 @@ def _verify_checks(basis, tol):
 
 def cmd_verify(args) -> int:
     if args.input:
-        basis = import_basis(args.input)
+        basis = dataclasses.replace(import_basis(args.input), tol=args.tol)
         if args.n is not None and args.n != basis.n:
             print(
                 f"verify: --n {args.n} given, but {args.input} holds n={basis.n}",
@@ -185,7 +193,7 @@ def cmd_verify(args) -> int:
         basis = build_basis(args.n, args.tol)
     print(f"verifying n={basis.n} (eta1={basis.eta.eta1}, eta2={basis.eta.eta2})")
     all_ok = True
-    for name, ok, detail in _verify_checks(basis, args.tol):
+    for name, ok, detail in _verify_checks(basis):
         all_ok &= ok
         print(f"  {name:<28}{'PASS' if ok else 'FAIL'}  {detail}")
     print("result: " + ("all checks passed" if all_ok else "CLAIM VIOLATION"))
@@ -201,7 +209,7 @@ def cmd_analyze(args) -> int:
         )
         return 2
     basis = build_basis(args.n, args.tol)
-    coeff = to_coefficients(v, basis, args.tol)
+    coeff = to_coefficients(v, basis)
     write_vector(args.out, coeff)
     e = _unit_exponent(v)  # measure at the scale the solve ran at
     v, coeff = _ldexp(v, -e), _ldexp(coeff, -e)
@@ -209,7 +217,7 @@ def cmd_analyze(args) -> int:
     residual = float(np.linalg.norm(synthesize(coeff, basis) - v))
     relative = residual / norm if norm > 0 else residual
     print(f"wrote {args.out}: {basis.n} coefficients, round-trip residual {relative:.3e}")
-    return 0 if relative <= args.tol else 1
+    return 0 if relative <= basis.tol else 1
 
 
 def cmd_survey(args) -> int:
@@ -218,12 +226,14 @@ def cmd_survey(args) -> int:
         return 2
     rows = []
     orthogonal = []
-    for basis, report in _survey(args.max_n, args.tol):
-        rows.append((basis.n, basis.eta, audit_sparsity(basis), report))
+    for n in range(2, args.max_n + 1):
+        basis = build_basis(n, args.tol)
+        report = gram_report(basis)
+        rows.append((n, basis.eta, audit_sparsity(basis), report))
         if report.is_orthogonal:
-            orthogonal.append(basis.n)
+            orthogonal.append(n)
         if not report.is_orthogonal and report.witness is None:
-            print(f"survey: n={basis.n} non-orthogonal without witness", file=sys.stderr)
+            print(f"survey: n={n} non-orthogonal without witness", file=sys.stderr)
             return 1
     if args.out:
         write_survey_csv(args.out, rows)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import EigenBasis, gram_report
-from .numerics import DEFAULT_TOL, as_vector, check_tol, omega_power
+from .numerics import as_vector, omega_power
 from .trains import DivisorPair, eta_pair
 
 __all__ = [
@@ -199,7 +199,7 @@ def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def to_coefficients(v, basis: EigenBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
+def to_coefficients(v, basis: EigenBasis) -> np.ndarray:
     """Expansion coefficients of v in the basis, in label order.
 
     For an orthogonal basis the coefficients are the selected correlation
@@ -208,7 +208,8 @@ def to_coefficients(v, basis: EigenBasis, tol: float = DEFAULT_TOL) -> np.ndarra
     square, is formed from that class's rows and inverted, once per basis,
     and no n x n Gram is built.  The solution is then sharpened by residual
     correction through the fast synthesis path until the reconstruction
-    meets tol.  Every step is linear, so a vector whose norm would
+    meets basis.tol, the tol the basis carries, which also classifies it
+    (see gram_report).  Every step is linear, so a vector whose norm would
     over- or underflow is solved at unit scale, by an exact power of two,
     and the coefficients scaled back; one synthesis at unit scale then
     checks that they still reconstruct v to tol, which coefficients
@@ -216,14 +217,14 @@ def to_coefficients(v, basis: EigenBasis, tol: float = DEFAULT_TOL) -> np.ndarra
     basis that does not hold n vectors, and for coefficients that overflow
     the float range or underflow it that far.
     """
-    check_tol(tol)
+    tol = basis.tol
     arr = as_vector(v)
     if arr.size != basis.n:
         raise ValueError(f"dimension mismatch: vector {arr.size} vs basis {basis.n}")
     e = _unit_exponent(arr)
     if e:
         unit = _ldexp(arr, -e)
-        coeff = _ldexp(to_coefficients(unit, basis, tol), e)
+        coeff = _ldexp(to_coefficients(unit, basis), e)
         if not np.all(np.isfinite(coeff)):
             raise ValueError("the coefficients overflow the float range")
         back = synthesize(_ldexp(coeff, -e), basis)  # subnormal coefficients lose low bits
@@ -232,7 +233,7 @@ def to_coefficients(v, basis: EigenBasis, tol: float = DEFAULT_TOL) -> np.ndarra
             raise ValueError(f"the coefficients underflow the float range (miss {miss:.2e})")
         return coeff
     coeff = _selected_correlations(analyze(arr), basis)
-    if gram_report(basis, tol).is_orthogonal:
+    if gram_report(basis).is_orthogonal:
         return coeff
     solvers = basis._class_solvers
     coeff = _solve(solvers, coeff)

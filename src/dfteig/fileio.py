@@ -13,8 +13,10 @@ as floats, strings or booleans, makes the unit rows of all labels in file
 order with basis._unit_rows, the one label-to-row path, which also makes
 build_basis's class arrays and kept rows, and refuses a record
 whose projection vanishes or whose scale misses its row's norm by more
-than _LABEL_TOL, relative.  The basis keeps the file's scales and is made
-by basis._assemble.  Any other format_version is refused.  Version-1
+than _LABEL_TOL, relative.  The basis keeps the file's scales and carries
+DEFAULT_TOL, the tol the file's checks ran at; a caller that reads it at
+another tol replaces it (dfteig verify --tol does).  Any other
+format_version is refused.  Version-1
 files, which also stored each record's symbolic terms and sparse entries,
 are refused with the command that rebuilds them.
 """
@@ -28,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import EigenBasis, _assemble, _unit_rows
+from .basis import EigenBasis, _unit_rows
 from .numerics import DEFAULT_TOL
 from .trains import DivisorPair, eta_pair
 
@@ -222,7 +224,9 @@ def _records_from_payload(payload, path) -> EigenBasis:
             f"{path}: vector {i}: scale of label {labels[i]} differs "
             f"from its projected train by {error[i]:.2e} (limit {_LABEL_TOL:g})"
         )
-    return _assemble(eta, classes, positions, scales, rows, DEFAULT_TOL, 0)
+    return EigenBasis(
+        n=n, eta=eta, classes=classes, positions=positions, scale=scales, rows=rows
+    )
 
 
 # the typed columns after the row kind, in CSV order

@@ -800,10 +800,10 @@ def test_orthogonality_survey_rejects_small_max():
 
 
 def test_sparsity_audit_failure_reports_label():
-    built = build_basis(6)
-    support = built.support.copy()
+    basis = build_basis(6)
+    support = basis.support.copy()
     support[1] = 10 ** 6  # corrupt one vector
-    basis = dataclasses.replace(built, support=support)
+    basis.support = support  # supports are derived: the count is overwritten
     with pytest.raises(VerificationError) as err:
         audit_sparsity(basis)
     k, a, b = basis.labels()[1]
@@ -832,3 +832,49 @@ def test_edited_copy_is_a_new_basis_with_fresh_caches():
     edited = dataclasses.replace(basis, rows=rows)
     assert gram_report(edited).max_offdiag == pytest.approx(1.0, abs=1e-12)
     assert gram_report(basis) is before
+
+
+def test_replaced_tol_derives_its_own_supports_and_report():
+    built = build_basis(12)
+    before = gram_report(built)
+    basis = dataclasses.replace(built, tol=1e-6)
+    assert (built.tol, basis.tol) == (DEFAULT_TOL, 1e-6)
+    support = np.count_nonzero(np.abs(basis.dense_matrix()) > 1e-6, axis=1)
+    assert np.array_equal(basis.support, support)
+    assert not basis.support.flags.writeable
+    report = gram_report(basis)
+    assert report is not before and gram_report(basis) is report
+    assert report.is_orthogonal == (report.max_offdiag <= 1e-6)
+    assert gram_report(built) is before
+    with pytest.raises(ValueError, match="tol must be in"):
+        dataclasses.replace(built, tol=0.5)
+    # a square's vector 0 tilted by 1e-7 toward vector 1 of its class: both
+    # its new entries and the inner product lie between 1e-9 and 1e-6
+    built = build_basis(16)
+    rows = built.dense_matrix().copy()
+    rows[0] += 1e-7 * rows[1]
+    rows[0] /= np.linalg.norm(rows[0])
+    strict = dataclasses.replace(built, rows=rows)
+    loose = dataclasses.replace(strict, tol=1e-6)
+    assert strict.support[0] == 12 and loose.support[0] == built.support[0] == 4
+    assert np.array_equal(strict.support[1:], loose.support[1:])
+    inner = gram_report(strict).max_offdiag
+    assert inner == gram_report(loose).max_offdiag == pytest.approx(1e-7, rel=1e-6)
+    assert not gram_report(strict).is_orthogonal
+    assert gram_report(strict).witness[:2] == ((0, 0, 0), (0, 0, 1))
+    assert gram_report(loose).is_orthogonal and gram_report(loose).witness is None
+
+
+def test_supports_are_counted_on_first_read(monkeypatch):
+    counted = []
+    real = np.count_nonzero
+
+    def recording(*args, **kwargs):
+        counted.append(kwargs.get("axis"))
+        return real(*args, **kwargs)
+
+    basis = build_basis(12)
+    monkeypatch.setattr(np, "count_nonzero", recording)
+    first = basis.support
+    assert counted == [1] and basis.support is first
+    assert counted == [1]

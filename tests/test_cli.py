@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -190,6 +191,31 @@ def test_verify_accepts_valid_exports(tmp_path, capsys, fmt, flags):
     assert "all checks passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags,tol", [((), DEFAULT_TOL), (("--tol", "1e-10"), 1e-10)])
+def test_verify_input_reads_the_file_at_the_tol_flag(tmp_path, monkeypatch, capsys, flags, tol):
+    path = _built(tmp_path, "json")
+    seen = []
+
+    def recording(basis):
+        seen.append(basis.tol)
+        return _verify_checks(basis)
+
+    monkeypatch.setattr("dfteig.cli._verify_checks", recording)
+    assert main(["verify", "--input", str(path), *flags]) == 0
+    assert seen == [tol]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_build_and_export_count_no_supports(tmp_path, monkeypatch, capsys, fmt):
+    def no_count(self):
+        raise AssertionError("supports were counted")
+
+    monkeypatch.setattr(EigenBasis, "support", property(no_count))
+    path = tmp_path / f"b.{fmt}"
+    assert main(["build", "--n", "61", "--format", fmt, "--out", str(path)]) == 0
+    assert import_basis(path).n == 61  # import counts none either
+
+
 def test_verify_refuses_huge_n_at_once(tmp_path, capsys):
     path = _built(tmp_path, "json")
     payload = json.loads(path.read_text())
@@ -268,9 +294,17 @@ def test_records_shuffled_across_classes_import_and_verify_alike(tmp_path, capsy
     assert capsys.readouterr().out == expected
 
 
-def _rank_check(basis, tol=DEFAULT_TOL):
+def _rank_check(basis):
     """The independent-rank verdict and detail; the later checks do not run."""
-    return next((ok, d) for name, ok, d in _verify_checks(basis, tol) if name == "independent-rank")
+    return next((ok, d) for name, ok, d in _verify_checks(basis) if name == "independent-rank")
+
+
+def _certified_root(gram, width, tol=DEFAULT_TOL):
+    """The root of the first of verify's rank targets a class Gram is certified at, or None."""
+    for target in (1e-2, 1e-4, 1e-6, 1e-8, 4 * tol * tol):
+        if _sigma_min_bound(gram, width, target) is not None:
+            return math.sqrt(target)
+    return None
 
 
 def _cgs2_rank(basis, tol=DEFAULT_TOL):
@@ -365,7 +399,7 @@ def test_verify_survives_record_edits(tmp_path, capsys, n):
 def test_rank_check_matches_cgs2(n, tol):
     basis = build_basis(n, tol)
     rank = _cgs2_rank(basis, tol)
-    ok, detail = _rank_check(basis, tol)
+    ok, detail = _rank_check(basis)
     assert ok == (rank == n)
     assert detail.startswith(f"rank {rank} of {n}, smallest singular value ")
 
@@ -374,8 +408,8 @@ def _no_certificate(gram, width, target):
     return None
 
 
-def _verdicts(basis, tol=DEFAULT_TOL):
-    return [(name, ok) for name, ok, _ in _verify_checks(basis, tol)]
+def _verdicts(basis):
+    return [(name, ok) for name, ok, _ in _verify_checks(basis)]
 
 
 @pytest.mark.parametrize("n", [*range(1, 129), 240, 257])
@@ -416,23 +450,36 @@ def test_rank_detail_bound_is_below_the_smallest_singular_value(n):
         np.linalg.svd(rows[basis.classes == k], compute_uv=False).min()
         for k in set(basis.classes.tolist())
     )
-    assert bound == pytest.approx(2 * DEFAULT_TOL, rel=1e-3) and bound <= smallest
+    # the smallest over the classes of the first target's root each is certified at
+    roots = [_certified_root(gram, n) for pos, gram in basis._class_grams if pos.size]
+    assert bound == pytest.approx(min(roots), rel=1e-3) and bound <= smallest
+
+
+@pytest.mark.parametrize("n", [16, 64, 144])
+def test_rank_detail_shows_the_margin_at_a_square(capsys, n):
+    # an orthogonal basis: every class Gram is the identity, certified at 1e-2
+    ok, detail = _rank_check(build_basis(n))
+    assert ok and detail == f"rank {n} of {n}, smallest singular value at least 1.000e-01"
+    assert main(["verify", "--n", str(n)]) == 0
+    assert f"  independent-rank            PASS  {detail}\n" in capsys.readouterr().out
 
 
 def test_rank_detail_names_the_class_that_fell_back(monkeypatch):
+    basis = build_basis(61)
+    refused = basis._class_grams[1][1]
     calls = []
 
-    def second_refused(gram, width, target):
-        calls.append(len(gram))
-        return None if len(calls) == 2 else _sigma_min_bound(gram, width, target)
+    def class_1_refused(gram, width, target):
+        calls.append(gram is refused)
+        return None if gram is refused else _sigma_min_bound(gram, width, target)
 
-    monkeypatch.setattr("dfteig.cli._sigma_min_bound", second_refused)
-    basis = build_basis(61)
+    monkeypatch.setattr("dfteig.cli._sigma_min_bound", class_1_refused)
     ok, detail = _rank_check(basis)
-    assert ok and len(calls) == 4
+    assert ok and calls.count(True) == 5  # class 1 is tried at every target
     sv = np.linalg.svd(basis.dense_matrix()[basis.classes == 1], compute_uv=False)
+    roots = [_certified_root(gram, 61) for k, (_, gram) in enumerate(basis._class_grams) if k != 1]
     assert detail == (
-        f"rank 61 of 61, smallest singular value at least {min(2 * DEFAULT_TOL, sv.min()):.3e} "
+        f"rank 61 of 61, smallest singular value at least {min(*roots, sv.min()):.3e} "
         "(SVD in class 1)"
     )
 
@@ -440,7 +487,7 @@ def test_rank_detail_names_the_class_that_fell_back(monkeypatch):
 @pytest.mark.parametrize("n", [*range(1, 129), 240, 257])
 def test_oracle_pass_matches_per_vector_oracle(n):
     basis = build_basis(n)
-    residuals, verdicts = _oracle_pass(basis, DEFAULT_TOL)
+    residuals, verdicts = _oracle_pass(basis)
     for rec, residual, verdict in zip(basis.vectors, residuals, verdicts):
         assert abs(residual - verify_eigenvector(rec.dense, rec.k)) <= 1e-14
         assert verdict == check_uncertainty(rec.dense)
@@ -487,14 +534,14 @@ def test_perturbed_row_fails_cross_class_bound():
     rows[0] += 1e-6 * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
     rows[0] /= np.linalg.norm(rows[0])
     basis = dataclasses.replace(built, rows=rows)
-    residuals, _ = _oracle_pass(basis, DEFAULT_TOL)
+    residuals, _ = _oracle_pass(basis)
     ks = np.array([rec.k for rec in basis.vectors])
     eps = [residuals[ks == k].max() for k in range(4)]
     bound = max(
         (eps[k] + eps[l] + eps[k] * eps[l]) / abs(EIGENVALUES[k] - EIGENVALUES[l])
         for k in range(4) for l in range(k + 1, 4)
     )
-    checks = {name: (ok, detail) for name, ok, detail in _verify_checks(basis, DEFAULT_TOL)}
+    checks = {name: (ok, detail) for name, ok, detail in _verify_checks(basis)}
     assert checks["cross-class-orthogonality"] == (
         False, f"bound {bound:.3e} from the eigenvector residuals"
     )

@@ -184,8 +184,7 @@ def random_label_basis(n, seed):
     classes[-1], positions[-1] = classes[0], positions[0]
     return EigenBasis(
         n=n, eta=eta_pair(n), classes=classes, positions=positions,
-        scale=rng.uniform(0.5, 2.0, n), support=np.zeros(n, dtype=np.intp),
-        rows=np.zeros((n, n), dtype=np.complex128),
+        scale=rng.uniform(0.5, 2.0, n), rows=np.zeros((n, n), dtype=np.complex128),
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,19 +109,27 @@ def test_check_tol():
     "call",
     [
         lambda tol: build_basis(4, tol),
-        lambda tol: gram_report(build_basis(4), tol),
-        lambda tol: to_coefficients(np.ones(4), build_basis(4), tol),
+        lambda tol: dataclasses.replace(build_basis(4), tol=tol),
         lambda tol: verify_eigenvector(np.ones(4), 0, tol),
         lambda tol: check_uncertainty(np.ones(4), tol),
         lambda tol: try_extend_rank(EliminationState(4), np.ones(4), tol),
         lambda tol: orthogonality_survey(4, tol),
     ],
-    ids=["build_basis", "gram_report", "to_coefficients", "verify_eigenvector",
+    ids=["build_basis", "EigenBasis", "verify_eigenvector",
          "check_uncertainty", "try_extend_rank", "orthogonality_survey"],
 )
 def test_public_functions_refuse_a_bad_tol(call, tol):
     with pytest.raises(ValueError, match="tol must be in"):
         call(tol)
+
+
+def test_derived_operations_read_the_basis_tol():
+    # the classification and the solve take no tol of their own
+    basis = build_basis(4)
+    with pytest.raises(TypeError):
+        gram_report(basis, DEFAULT_TOL)
+    with pytest.raises(TypeError):
+        to_coefficients(np.ones(4), basis, DEFAULT_TOL)
 
 
 def test_try_extend_rank_basic():
