@@ -15,24 +15,17 @@ from .numerics import (
     DEFAULT_TOL,
     EliminationState,
     VerificationError,
-    as_vector,
     dft_matrix,
     naive_dft,
-    omega_power,
     try_extend_rank,
-)
-from .trains import (
-    DivisorPair,
-    ModulatedDeltaTrain,
-    densify,
-    dft_train,
-    eta_pair,
 )
 from .projection import (
     EIGENVALUES,
+    DivisorPair,
+    ModulatedDeltaTrain,
     TrainSum,
     densify_sum,
-    eigenvalue_of,
+    eta_pair,
     project,
     verify_eigenvector,
 )
@@ -69,20 +62,15 @@ __all__ = [
     "DEFAULT_TOL",
     "EliminationState",
     "VerificationError",
-    "as_vector",
     "dft_matrix",
     "naive_dft",
-    "omega_power",
     "try_extend_rank",
     "DivisorPair",
     "ModulatedDeltaTrain",
-    "densify",
-    "dft_train",
     "eta_pair",
     "EIGENVALUES",
     "TrainSum",
     "densify_sum",
-    "eigenvalue_of",
     "project",
     "verify_eigenvector",
     "BasisVectorRecord",

@@ -41,9 +41,9 @@ position a*eta2 + b and scale, and one (n, n) array of unit rows, its
 dense_matrix(), plus the one tol it is read at.  _unit_rows turns labels
 into unit rows and norms, each row divided by its norm wherever that is
 above 0, for class arrays, kept rows and import alike; a pool takes only
-rows whose norm is above tol.  Supports, records, class Gram blocks, their
-inverses and the Gram report are derived from the arrays and tol on first
-read.
+rows whose norm is above tol.  The divisor pair is derived from n, and
+supports, records, class Gram blocks, their inverses and the Gram report
+from the arrays and tol, each on first read.
 """
 
 from __future__ import annotations
@@ -65,13 +65,15 @@ from .numerics import (
 from .projection import (
     _BLOCK,
     _CHARACTERS,
+    DivisorPair,
+    ModulatedDeltaTrain,
     TrainSum,
     _class_rows,
     _power_coordinates,
     _power_gathers,
+    eta_pair,
     project,
 )
-from .trains import DivisorPair, ModulatedDeltaTrain, eta_pair
 
 # Largest 2-norm condition number allowed for one class's unit rows before
 # that class is re-selected by pivoting.  First-fit bases of prime n reach
@@ -157,7 +159,8 @@ class EigenBasis:
 
     Vector i is the unit projected train of class classes[i] and position
     a*eta2 + b = positions[i], with raw norm scale[i]; `rows` holds the unit
-    rows and is the dense_matrix().  `tol` is the threshold the basis was
+    rows and is the dense_matrix().  n fixes the divisor pair, so `eta` is
+    derived from it, as eta_pair(n).  `tol` is the threshold the basis was
     built at, and everything read at a threshold is read at it: the
     supports, gram_report's classification and to_coefficients' stopping
     rule.  Construction checks tol and makes the arrays read-only, since the
@@ -168,7 +171,6 @@ class EigenBasis:
     """
 
     n: int
-    eta: DivisorPair
     classes: np.ndarray  # intp
     positions: np.ndarray  # intp
     scale: np.ndarray
@@ -180,6 +182,11 @@ class EigenBasis:
         check_tol(self.tol)
         for array in (self.classes, self.positions, self.scale, self.rows):
             array.flags.writeable = False
+
+    @functools.cached_property
+    def eta(self) -> DivisorPair:
+        """The divisor pair of n, whose strides the labels index."""
+        return eta_pair(self.n)
 
     @functools.cached_property
     def support(self) -> np.ndarray:
@@ -704,7 +711,7 @@ def build_basis(n: int, tol: float = DEFAULT_TOL) -> EigenBasis:
     positions = np.concatenate(kept)
     rows, scales = _unit_rows(n, classes, positions)
     return EigenBasis(
-        n=n, eta=eta, classes=classes, positions=positions, scale=scales, rows=rows,
+        n=n, classes=classes, positions=positions, scale=scales, rows=rows,
         zero_candidates=zeros, tol=tol,
     )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 
@@ -28,9 +29,6 @@ from .numerics import DEFAULT_TOL, VerificationError, check_tol, dft_matrix
 from .projection import EIGENVALUES
 
 SPORADIC_ORTHOGONAL = {2, 3, 8}
-# Lower bounds on sigma_min**2 that verify tries to certify each class Gram at,
-# largest first, before 4*tol**2: the first one proven is the class's margin.
-_RANK_TARGETS = (1e-2, 1e-4, 1e-6, 1e-8)
 
 
 def _tol(text: str) -> float:
@@ -41,14 +39,38 @@ def _tol(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _integer_flag(low: int, rule: str):
+    """argparse type of an integer flag that must be at least `low`, as `rule` words it."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1  # refused below, quoting the text as given
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _integer_flag(1, "a positive integer")
+
+
+def _rank_targets(tol: float) -> list:
+    """Lower bounds on sigma_min**2 that verify tries each class Gram at, largest first.
+
+    Every power 1e-2, 1e-4, ... above 4*tol**2, then 4*tol**2 itself; the
+    first one a class is proven at is its margin.
+    """
+    floor = 4 * tol * tol
+    powers = (10.0**-e for e in itertools.count(2, 2))
+    return [*itertools.takewhile(lambda t: t > floor, powers), floor]
+
+
 def _expected_orthogonal(n: int) -> bool:
     return math.isqrt(n) ** 2 == n or n in SPORADIC_ORTHOGONAL
 
 
 def cmd_build(args) -> int:
-    if args.n < 1:
-        print("build: --n must be a positive integer", file=sys.stderr)
-        return 2
     basis = build_basis(args.n, args.tol)
     export_basis(basis, args.out, fmt=args.format)
     print(
@@ -89,9 +111,9 @@ def _verify_checks(basis):
     cross-class-orthogonality certifies to be orthogonal.  Each class's
     Gram block (the one gram_report reads) is tried with the
     shifted-Cholesky certificate (see basis._sigma_min_bound) at each of
-    _RANK_TARGETS and then at 4*tol**2, stopping at the first it passes: its
-    singular values are then all at least that target's root, at least
-    2*tol, so its rank is its row count.  A class certified at none counts
+    _rank_targets(tol), stopping at the first it passes: its singular
+    values are then all at least that target's root, at least 2*tol, so its
+    rank is its row count.  A class certified at none counts
     the singular values above tol of its stacked unit rows.  The detail
     gives the smallest singular value's lower bound, the smallest root
     certified or the smallest singular value of a class that fell back,
@@ -116,7 +138,7 @@ def _verify_checks(basis):
     )
 
     rank, smallest, fallback = 0, math.inf, []
-    targets = (*_RANK_TARGETS, 4 * tol * tol)
+    targets = _rank_targets(tol)
     for k, (pos, gram) in enumerate(basis._class_grams):
         if not pos.size:
             continue
@@ -187,7 +209,7 @@ def cmd_verify(args) -> int:
             )
             return 2
     else:
-        if args.n is None or args.n < 1:
+        if args.n is None:
             print("verify: provide --n N or --input FILE", file=sys.stderr)
             return 2
         basis = build_basis(args.n, args.tol)
@@ -202,13 +224,13 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     v = read_vector(args.input)
-    if v.size != args.n:
+    if args.n is not None and v.size != args.n:
         print(
             f"analyze: vector has {v.size} entries, expected n={args.n}",
             file=sys.stderr,
         )
         return 2
-    basis = build_basis(args.n, args.tol)
+    basis = build_basis(v.size, args.tol)
     coeff = to_coefficients(v, basis)
     write_vector(args.out, coeff)
     e = _unit_exponent(v)  # measure at the scale the solve ran at
@@ -221,9 +243,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    if args.max_n < 2:
-        print("survey: --max-n must be at least 2", file=sys.stderr)
-        return 2
     rows = []
     orthogonal = []
     for n in range(2, args.max_n + 1):
@@ -254,27 +273,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a basis and export it")
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
+    p.add_argument("--n", type=_positive, required=True, help="ambient dimension")
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="run every certified check on a basis")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_positive, default=None)
     p.add_argument("--input", default=None, help="verify an exported basis file")
     p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="expand a vector in the basis")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive, default=None, help="defaults to the vector's length")
     p.add_argument("--input", required=True, help="vector file (index,re,im lines)")
     p.add_argument("--out", required=True, help="coefficient output path")
     p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("survey", help="orthogonality classification over 2..max-n")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_integer_flag(2, "an integer of at least 2"), required=True)
     p.add_argument("--out", default=None, help="CSV report path")
     p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_survey)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .basis import EigenBasis, gram_report
 from .numerics import as_vector, omega_power
-from .trains import DivisorPair, eta_pair
+from .projection import DivisorPair, eta_pair
 
 __all__ = [
     "train_correlations",
@@ -107,12 +107,19 @@ class CorrelationTensor:
     """Correlations of one vector against every projected train.
 
     values[k, a, b] = <v, P_k g_{eta1}(a, b)> for the raw (unnormalized)
-    projections.
+    projections.  The (4, eta1, eta2) shape fixes n and its divisor pair,
+    so both are read off it.
     """
 
-    n: int
-    eta: DivisorPair
     values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[1] * self.values.shape[2]
+
+    @property
+    def eta(self) -> DivisorPair:
+        return DivisorPair(self.n, *self.values.shape[1:])
 
 
 def _butterfly(z: np.ndarray, rotation: complex) -> None:
@@ -164,7 +171,7 @@ def analyze(v) -> CorrelationTensor:
     np.multiply(s2[:, :0:-1], twist, out=p3[:, 1:])
     p3[:, 0] = s2[:, 0]
     _butterfly(values, -1j)
-    return CorrelationTensor(n=n, eta=eta, values=values)
+    return CorrelationTensor(values)
 
 
 def _selected_correlations(tensor: CorrelationTensor, basis: EigenBasis) -> np.ndarray:

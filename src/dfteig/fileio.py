@@ -5,9 +5,10 @@ as "a+bj" strings.  Floats are serialized with repr(), which round-trips
 exactly, so re-exporting an imported basis reproduces the file bit for bit.
 
 Basis exports are format_version 2: the header (n, eta1, eta2) and, per
-record, its label (k, a, b) and scale.  A record is the projected train
-P_k g_{eta1}(a, b), so a label fixes it and the scale, its norm, is the
-only number stored.  Export reads the basis's label and scale arrays.
+record, its label (k, a, b) and scale.  n fixes (eta1, eta2), so import
+refuses a header whose pair is not eta_pair(n).  A record is the
+projected train P_k g_{eta1}(a, b), so a label fixes it and the scale,
+its norm, is the only number stored.  Export reads the basis's label and scale arrays.
 Import types and range-checks every label, refusing integer fields given
 as floats, strings or booleans, makes the unit rows of all labels in file
 order with basis._unit_rows, the one label-to-row path, which also makes
@@ -32,7 +33,7 @@ import numpy as np
 
 from .basis import EigenBasis, _unit_rows
 from .numerics import DEFAULT_TOL
-from .trains import DivisorPair, eta_pair
+from .projection import DivisorPair, eta_pair
 
 __all__ = [
     "FORMAT_VERSION",
@@ -189,11 +190,9 @@ def _records_from_payload(payload, path) -> EigenBasis:
             f"{path}: n={n} is not in [1, {4 * len(raw_vectors)}], four times "
             f"its {len(raw_vectors)} records"
         )
-    eta = DivisorPair(n=n, eta1=eta1, eta2=eta2)
-    if eta != eta_pair(n):
-        raise ValueError(
-            f"{path}: ({eta.eta1}, {eta.eta2}) is not the divisor pair of n={n}"
-        )
+    eta = eta_pair(n)
+    if (eta1, eta2) != (eta.eta1, eta.eta2):
+        raise ValueError(f"{path}: ({eta1}, {eta2}) is not the divisor pair of n={n}")
     labels, scales = [], []
     for pos, vec in enumerate(raw_vectors):
         if not isinstance(vec, dict):
@@ -224,9 +223,7 @@ def _records_from_payload(payload, path) -> EigenBasis:
             f"{path}: vector {i}: scale of label {labels[i]} differs "
             f"from its projected train by {error[i]:.2e} (limit {_LABEL_TOL:g})"
         )
-    return EigenBasis(
-        n=n, eta=eta, classes=classes, positions=positions, scale=scales, rows=rows
-    )
+    return EigenBasis(n=n, classes=classes, positions=positions, scale=scales, rows=rows)
 
 
 # the typed columns after the row kind, in CSV order

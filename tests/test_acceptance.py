@@ -15,9 +15,7 @@ from dfteig import (
     analyze,
     build_basis,
     check_uncertainty,
-    densify,
     densify_sum,
-    dft_train,
     enumerate_candidates,
     export_basis,
     gram_report,
@@ -28,6 +26,7 @@ from dfteig import (
     try_extend_rank,
     verify_eigenvector,
 )
+from dfteig.projection import densify, dft_train
 
 TOL = 1e-9
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dfteig import (
+    EigenBasis,
     EliminationState,
     VerificationError,
     audit_sparsity,
@@ -863,6 +864,19 @@ def test_replaced_tol_derives_its_own_supports_and_report():
     assert not gram_report(strict).is_orthogonal
     assert gram_report(strict).witness[:2] == ((0, 0, 0), (0, 0, 1))
     assert gram_report(loose).is_orthogonal and gram_report(loose).witness is None
+
+
+@pytest.mark.parametrize("n", [1, 12, 61, 240])
+def test_divisor_pair_is_derived_from_n(tmp_path, n):
+    # n fixes (eta1, eta2), so a basis stores no pair that could disagree with it
+    assert [f.name for f in dataclasses.fields(EigenBasis)] == [
+        "n", "classes", "positions", "scale", "rows", "zero_candidates", "tol",
+    ]
+    basis = build_basis(n)
+    path = tmp_path / "b.json"
+    export_basis(basis, path)
+    for derived in (basis, dataclasses.replace(basis, tol=1e-6), import_basis(path)):
+        assert derived.eta == eta_pair(n)
 
 
 def test_supports_are_counted_on_first_read(monkeypatch):

@@ -300,8 +300,13 @@ def _rank_check(basis):
 
 
 def _certified_root(gram, width, tol=DEFAULT_TOL):
-    """The root of the first of verify's rank targets a class Gram is certified at, or None."""
-    for target in (1e-2, 1e-4, 1e-6, 1e-8, 4 * tol * tol):
+    """The root of the first of verify's rank targets a class Gram is certified at, or None.
+
+    The targets are the powers 1e-2, 1e-4, ... above 4*tol**2, then 4*tol**2.
+    """
+    floor = 4 * tol * tol
+    powers = [float(f"1e-{e}") for e in range(2, 40, 2)]
+    for target in (*[t for t in powers if t > floor], floor):
         if _sigma_min_bound(gram, width, target) is not None:
             return math.sqrt(target)
     return None
@@ -464,6 +469,14 @@ def test_rank_detail_shows_the_margin_at_a_square(capsys, n):
     assert f"  independent-rank            PASS  {detail}\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n, bound", [(240, "1.000e-05"), (29, "1.000e-06"), (41, "1.000e-06")])
+def test_rank_detail_shows_the_margin_below_1e_8(capsys, n, bound):
+    # a class's sigma_min**2 lies below 1e-8 and far above 4*tol**2: the bound shows it
+    assert main(["verify", "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert f"rank {n} of {n}, smallest singular value at least {bound}\n" in out
+
+
 def test_rank_detail_names_the_class_that_fell_back(monkeypatch):
     basis = build_basis(61)
     refused = basis._class_grams[1][1]
@@ -475,7 +488,7 @@ def test_rank_detail_names_the_class_that_fell_back(monkeypatch):
 
     monkeypatch.setattr("dfteig.cli._sigma_min_bound", class_1_refused)
     ok, detail = _rank_check(basis)
-    assert ok and calls.count(True) == 5  # class 1 is tried at every target
+    assert ok and calls.count(True) == 9  # class 1 is tried at every target, 1e-2..4e-18
     sv = np.linalg.svd(basis.dense_matrix()[basis.classes == 1], compute_uv=False)
     roots = [_certified_root(gram, 61) for k, (_, gram) in enumerate(basis._class_grams) if k != 1]
     assert detail == (
@@ -582,6 +595,18 @@ def test_analyze_random_vector(tmp_path, capsys):
     assert "residual" in printed
 
 
+def test_analyze_takes_n_from_the_vector(tmp_path, capsys):
+    vec_path = tmp_path / "v.txt"
+    write_vector(vec_path, np.random.default_rng(61).standard_normal(61) + 0j)
+    outputs = []
+    for given in ([], ["--n", "61"]):
+        out_path = tmp_path / f"c{len(given)}.txt"
+        assert main(["analyze", *given, "--input", str(vec_path), "--out", str(out_path)]) == 0
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert "61 coefficients" in capsys.readouterr().out
+
+
 def test_analyze_wrong_length(tmp_path, capsys):
     vec_path = tmp_path / "v.txt"
     write_vector(vec_path, np.ones(5))
@@ -646,6 +671,22 @@ def test_survey_single_row(tmp_path):
 
 def test_survey_rejects_max_n_below_two(capsys):
     assert main(["survey", "--max-n", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv, flag, why", [
+    (["verify", "--n", "0"], "--n", "must be a positive integer, got '0'"),
+    (["build", "--n", "-1", "--out", "b.json"], "--n", "must be a positive integer, got '-1'"),
+    (["analyze", "--n", "0", "--input", "v.txt", "--out", "c.txt"], "--n", "must be a positive"),
+    (["survey", "--max-n", "1"], "--max-n", "must be an integer of at least 2, got '1'"),
+    (["verify", "--n", "2.5"], "--n", "must be a positive integer, got '2.5'"),
+], ids=["verify-n-0", "build-n-minus-1", "analyze-n-0", "survey-max-n-1", "verify-n-2.5"])
+def test_integer_flags_are_checked_by_the_parser(tmp_path, monkeypatch, capsys, argv, flag, why):
+    # a usage error that names the flag and says why, before any file is read or written
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {why}" in err and "provide --n" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bench_rejects_tiny_n(capsys):

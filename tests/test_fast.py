@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,13 +6,12 @@ import pytest
 
 from dfteig import (
     DEFAULT_TOL,
+    CorrelationTensor,
     EigenBasis,
     ModulatedDeltaTrain,
     analyze,
     build_basis,
-    densify,
     densify_sum,
-    dft_train,
     enumerate_candidates,
     eta_pair,
     export_basis,
@@ -24,7 +24,7 @@ from dfteig import (
 )
 import dfteig.projection
 from dfteig.fast import _selected_correlations, _solve
-from dfteig.projection import _CHARACTERS, _projection_recipe
+from dfteig.projection import _CHARACTERS, _projection_recipe, densify, dft_train
 
 
 def random_vector(n, seed=0):
@@ -183,9 +183,18 @@ def random_label_basis(n, seed):
     classes, positions = rng.integers(4, size=n), rng.integers(n, size=n)
     classes[-1], positions[-1] = classes[0], positions[0]
     return EigenBasis(
-        n=n, eta=eta_pair(n), classes=classes, positions=positions,
+        n=n, classes=classes, positions=positions,
         scale=rng.uniform(0.5, 2.0, n), rows=np.zeros((n, n), dtype=np.complex128),
     )
+
+
+@pytest.mark.parametrize("n", [1, 7, 12, 240, 4099])
+def test_correlation_tensor_reads_n_and_eta_off_its_shape(n):
+    assert [f.name for f in dataclasses.fields(CorrelationTensor)] == ["values"]
+    eta = eta_pair(n)
+    tensor = analyze(random_vector(n))
+    assert tensor.values.shape == (4, eta.eta1, eta.eta2)
+    assert (tensor.n, tensor.eta) == (n, eta)
 
 
 @pytest.mark.parametrize("n", range(1, 301))

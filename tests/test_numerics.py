@@ -6,7 +6,6 @@ import pytest
 from dfteig import (
     DEFAULT_TOL,
     EliminationState,
-    as_vector,
     build_basis,
     check_uncertainty,
     dft_matrix,
@@ -17,7 +16,7 @@ from dfteig import (
     try_extend_rank,
     verify_eigenvector,
 )
-from dfteig.numerics import check_tol
+from dfteig.numerics import as_vector, check_tol
 
 
 def scalar_dft(v):

@@ -1,23 +1,46 @@
+import importlib.util
 import math
 
 import numpy as np
 import pytest
 
+import dfteig
+import dfteig.numerics
+import dfteig.projection
 from dfteig import (
     ModulatedDeltaTrain,
     TrainSum,
-    densify,
     densify_sum,
     dft_matrix,
-    dft_train,
-    eigenvalue_of,
     eta_pair,
     naive_dft,
     project,
     verify_eigenvector,
 )
 from dfteig.numerics import omega_power
-from dfteig.projection import _class_rows, _power_coordinates, _power_gathers
+from dfteig.projection import (
+    _class_rows,
+    _power_coordinates,
+    _power_gathers,
+    densify,
+    dft_train,
+    eigenvalue_of,
+)
+
+
+def test_helpers_live_in_their_modules_not_the_package():
+    # the label algebra is one module, and the package exports 35 names
+    assert importlib.util.find_spec("dfteig.trains") is None
+    assert len(dfteig.__all__) == len(set(dfteig.__all__)) == 35
+    assert all(hasattr(dfteig, name) for name in dfteig.__all__)
+    helpers = {
+        dfteig.numerics: ("as_vector", "omega_power"),
+        dfteig.projection: ("densify", "dft_train", "eigenvalue_of"),
+    }
+    for module, names in helpers.items():
+        for name in names:
+            assert name not in dfteig.__all__ and not hasattr(dfteig, name)
+            assert callable(getattr(module, name)) and name in module.__all__
 
 
 def oracle_projection(k, dense):

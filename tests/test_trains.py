@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dfteig import (
-    ModulatedDeltaTrain,
-    densify,
-    dft_train,
-    eta_pair,
-    naive_dft,
-)
+from dfteig import ModulatedDeltaTrain, eta_pair, naive_dft
+from dfteig.projection import densify, dft_train
 
 
 def all_divisors(n):
